@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .complex_core import load_family
@@ -41,8 +42,7 @@ EXIT_HYPOTHESES_FAILED = 2
 EXIT_VALIDATION = 3
 EXIT_DEGENERATE = 4
 
-ENGINE_VERIFY_TAGS = set(engine.ENGINE_THEOREMS)
-TRANSVERSAL_VERIFY_TAGS = set(tp.TRANSVERSAL_THEOREMS)
+THEOREM_TAGS = sorted(engine.ENGINE_THEOREMS + tp.TRANSVERSAL_THEOREMS)
 
 
 def _envelope(command: str, params: dict, result: dict) -> dict:
@@ -87,10 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--out")
 
     p_ver = sub.add_parser("verify", help="check a theorem's hypotheses and conclusion")
-    p_ver.add_argument(
-        "theorem",
-        choices=sorted(ENGINE_VERIFY_TAGS | TRANSVERSAL_VERIFY_TAGS),
-    )
+    p_ver.add_argument("theorem", choices=THEOREM_TAGS)
     p_ver.add_argument("--in", dest="infile", required=True)
     p_ver.add_argument("--field", choices=["gf2", "q"], default="gf2")
     p_ver.add_argument("--d", type=int, default=2)
@@ -98,11 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out")
 
     p_sweep = sub.add_parser("sweep", help="randomized hypothesis/conclusion tallies")
-    p_sweep.add_argument(
-        "--theorem",
-        required=True,
-        choices=sorted(ENGINE_VERIFY_TAGS | TRANSVERSAL_VERIFY_TAGS),
-    )
+    p_sweep.add_argument("--theorem", required=True, choices=THEOREM_TAGS)
     p_sweep.add_argument("--trials", type=int, default=100)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--field", choices=["gf2", "q"], default="gf2")
@@ -147,13 +140,10 @@ def _cmd_homology(args) -> int:
 def _cmd_verify(args) -> int:
     tag = args.theorem
     params = {"in": args.infile, "theorem": tag, "field": args.field}
-    if tag in ENGINE_VERIFY_TAGS:
+    if tag in engine.THEOREMS:
         family = load_family(args.infile)
         field = CoefficientField.from_tag(args.field)
-        if tag in ("prop-a", "thm-b"):
-            params["lambda"] = args.lam
-        if tag in ("helly", "breen"):
-            params["d"] = args.d
+        params.update(engine.theorem_params(tag, args.d, args.lam))
         verdict = engine.run_verifier(tag, family, field, d=args.d, lam=args.lam)
         hyp, concl = verdict.hypotheses_hold, verdict.conclusion_holds
         result = verdict.to_dict()
@@ -193,7 +183,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     tag = args.theorem
-    if tag in ENGINE_VERIFY_TAGS:
+    if tag in engine.THEOREMS:
         field = CoefficientField.from_tag(args.field)
         m = args.m if args.m is not None else 4
         report = engine.sweep(
@@ -224,25 +214,22 @@ def _cmd_transversal(args) -> int:
     family = tp.load_polygon_family(args.infile)
     if args.action == "profile":
         prof = tp.transversal_profile(family)
-        pieces = []
-        for upper, lower, panel in zip(prof.upper_pieces(), prof.lower_pieces(), prof.panels):
-            pieces.append(
-                {
-                    "start_angle": panel.start_angle,
-                    "end_angle": panel.end_angle,
-                    "upper": {
-                        "member": panel.upper_member,
-                        "a": str(upper.a),
-                        "b": str(upper.b),
-                    },
-                    "lower": {
-                        "member": panel.lower_member,
-                        "a": str(lower.a),
-                        "b": str(lower.b),
-                    },
-                    "feasible": panel.feasible_sign > 0,
-                }
-            )
+
+        def envelope(member, vertex):
+            # the envelope is a*cos(t) + b*sin(t), with the vertex as (a, b)
+            a, b = (str(Fraction(x, prof.scale)) for x in vertex)
+            return {"member": member, "a": a, "b": b}
+
+        pieces = [
+            {
+                "start_angle": panel.start_angle,
+                "end_angle": panel.end_angle,
+                "upper": envelope(panel.upper_member, panel.upper_vertex),
+                "lower": envelope(panel.lower_member, panel.lower_vertex),
+                "feasible": panel.feasible_sign > 0,
+            }
+            for panel in prof.panels
+        ]
         result = {
             "panels": pieces,
             "breakpoints": list(prof.breakpoints),

@@ -237,12 +237,14 @@ def parse_family(text: str) -> SubcomplexFamily:
     for key in ("ambient", "embedding_dim", "members"):
         if key not in data:
             raise ValidationError(f"family file is missing the {key!r} key")
-    if not isinstance(data["embedding_dim"], int):
+    if not isinstance(data["embedding_dim"], int) or isinstance(data["embedding_dim"], bool):
         raise ValidationError("embedding_dim must be an integer")
     try:
         ambient = build_complex(data["ambient"], declared_embedding_dim=data["embedding_dim"])
     except MalformedInput as exc:
         raise ValidationError(f"bad ambient complex: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("bad ambient complex: expected a list of vertex lists") from exc
     members_spec = data["members"]
     if not isinstance(members_spec, list):
         raise ValidationError("members must be a list")
@@ -260,6 +262,8 @@ def parse_family(text: str) -> SubcomplexFamily:
             simps = [as_simplex(s) for s in entry["simplices"]]
         except MalformedInput as exc:
             raise ValidationError(f"member {label!r}: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"member {label!r}: expected a list of vertex lists") from exc
         closed = face_closure(simps)
         for s in sorted(closed):
             if s not in ambient.simplices:

@@ -27,3 +27,7 @@ class DegenerateInput(HellyTopoError):
 
 class GenerationFailure(HellyTopoError):
     """A randomized generator exhausted its attempt budget."""
+
+
+class InvariantViolation(HellyTopoError):
+    """An internal cross-check failed: a bug, never a property of the input."""

@@ -1,10 +1,11 @@
 """Hypothesis/conclusion verifiers for homological Helly-type criteria.
 
-Each verifier evaluates every required vanishing condition on the relevant
-subfamilies (the hypothesis ledger), then checks the asserted conclusion by
-direct simplex-set computation.  A verdict where the hypotheses hold but
-the conclusion fails would contradict a theorem and is surfaced loudly by
-callers; the sweep harness tallies exactly that.
+Every criterion is one row of THEOREMS, evaluated by `run_verifier`: it
+checks every required vanishing condition on the relevant subfamilies (the
+hypothesis ledger), then the asserted conclusion by direct simplex-set
+computation.  A verdict where the hypotheses hold but the conclusion fails
+would contradict a theorem and is surfaced loudly by callers; the sweep
+harness tallies exactly that.
 
 Degree conventions: a required vanishing at degree -1 means nonemptiness;
 degrees below -1 or above the ambient dimension are recorded as vacuous.
@@ -27,8 +28,6 @@ from .complex_core import (
 )
 from .errors import ContractViolation
 from .homology import GF2, CoefficientField, betti_number, is_n_acyclic, reduced_betti
-
-ENGINE_THEOREMS = ("prop-a", "thm-b", "helly", "sigma", "breen")
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,7 @@ class LedgerEntry:
 @dataclass(frozen=True)
 class HypothesisLedger:
     entries: tuple
-    lam: object = None  # int where the theorem is lambda-indexed
-    d: object = None  # int where the theorem is dimension-indexed
+    params: dict  # the theorem's parameter echo, see theorem_params
 
     @property
     def all_satisfied(self) -> bool:
@@ -70,12 +68,7 @@ class HypothesisLedger:
         return [e for e in self.entries if e.status == "fail"]
 
     def to_dict(self) -> dict:
-        out = {"entries": [e.to_dict() for e in self.entries]}
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.d is not None:
-            out["d"] = self.d
-        return out
+        return {"entries": [e.to_dict() for e in self.entries], **self.params}
 
 
 @dataclass(frozen=True)
@@ -98,137 +91,158 @@ class Verdict:
         }
 
 
-def _entry(family, indices, kind, degree, field) -> LedgerEntry:
-    if degree < -1 or degree > family.ambient.dimension:
-        return LedgerEntry(tuple(indices), kind, degree, None, "vacuous")
-    sub = (intersect_members if kind == "intersection" else union_members)(family, indices)
-    observed = betti_number(sub, degree, field)
-    return LedgerEntry(tuple(indices), kind, degree, observed, "pass" if observed == 0 else "fail")
+@dataclass(frozen=True)
+class Theorem:
+    """One row of THEOREMS.
+
+    ``param`` names the integer parameter p ("lambda", "d" or None).  Each
+    hypothesis block (kind, sizes(m, p), degree(m, j, p)) requires the
+    intersection or union of every size-j subfamily, j in sizes, to have
+    vanishing homology in that degree.  ``conclusion`` is "union" or
+    "intersection" vanishing in degree conclusion_degree(m, p) for the
+    whole family, "acyclic" (nonempty, acyclic intersection) or
+    "nonempty" (a common point).
+    """
+
+    param: object
+    min_size: int
+    hypotheses: tuple
+    conclusion: str
+    conclusion_degree: object = None
 
 
-def _subfamilies(m, j):
-    return itertools.combinations(range(m), j)
+def _every_size(m, p):
+    return range(1, m + 1)
+
+
+def _sizes_to_d_plus_1(m, p):
+    return range(1, min(p + 1, m) + 1)
+
+
+THEOREMS = {
+    "prop-a": Theorem(
+        "lambda", 2,
+        (("intersection", _every_size, lambda m, j, p: m - 1 - j + p),),
+        "union", lambda m, p: m - 2 + p,
+    ),
+    "thm-b": Theorem(
+        "lambda", 2,
+        (
+            ("union", lambda m, p: (m,), lambda m, j, p: m - 2 + p),
+            ("intersection", lambda m, p: range(1, m), lambda m, j, p: m - 2 - j + p),
+        ),
+        "intersection", lambda m, p: p - 1,
+    ),
+    "helly": Theorem(
+        "d", 1,
+        (("intersection", _sizes_to_d_plus_1, lambda m, j, p: p - j),),
+        "acyclic",
+    ),
+    "sigma": Theorem(
+        None, 2,
+        (("union", _every_size, lambda m, j, p: j - 2),),
+        "nonempty",
+    ),
+    "breen": Theorem(
+        "d", 2,
+        (("union", _sizes_to_d_plus_1, lambda m, j, p: j - 2),),
+        "nonempty",
+    ),
+}
+ENGINE_THEOREMS = tuple(THEOREMS)
+
+
+def _theorem(tag: str) -> Theorem:
+    if tag not in THEOREMS:
+        raise ContractViolation(f"unknown theorem tag {tag!r}")
+    return THEOREMS[tag]
+
+
+def theorem_params(tag: str, d: int, lam: int) -> dict:
+    """The parameter echo of a theorem: {"lambda": lam}, {"d": d} or {}."""
+    param = _theorem(tag).param
+    if param is None:
+        return {}
+    return {param: lam if param == "lambda" else d}
+
+
+def _combine(family, kind, indices) -> Subcomplex:
+    return (intersect_members if kind == "intersection" else union_members)(family, indices)
+
+
+def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField = GF2,
+                 d: int = 2, lam: int = 0) -> Verdict:
+    """Evaluate a THEOREMS row: the hypothesis ledger, one entry per
+    (subfamily, degree) pair in block order, then the conclusion."""
+    row = _theorem(theorem)
+    if row.param == "d":
+        if d <= 0:
+            raise ContractViolation("d must be positive")
+        if family.ambient.declared_embedding_dim > d:
+            raise ContractViolation(
+                f"ambient declared embedding dimension {family.ambient.declared_embedding_dim} "
+                f"exceeds d={d}"
+            )
+    m = family.size
+    if m < row.min_size:
+        raise ContractViolation(f"family size must be >= {row.min_size}")
+    if row.param == "lambda" and lam < 0:
+        raise ContractViolation("lambda must be >= 0")
+    p = lam if row.param == "lambda" else d
+    dim = family.ambient.dimension
+    entries = []
+    for kind, sizes, degree_of in row.hypotheses:
+        for j in sizes(m, p):
+            degree = degree_of(m, j, p)
+            vacuous = degree < -1 or degree > dim
+            for combo in itertools.combinations(range(m), j):
+                if vacuous:
+                    entries.append(LedgerEntry(combo, kind, degree, None, "vacuous"))
+                else:
+                    observed = betti_number(_combine(family, kind, combo), degree, field)
+                    status = "pass" if observed == 0 else "fail"
+                    entries.append(LedgerEntry(combo, kind, degree, observed, status))
+    ledger = HypothesisLedger(tuple(entries), theorem_params(theorem, d, lam))
+    if row.conclusion in ("union", "intersection"):
+        degree = row.conclusion_degree(m, p)
+        observed = betti_number(_combine(family, row.conclusion, range(m)), degree, field)
+        holds = observed == 0
+        witness = {"kind": row.conclusion, "degree": degree, "observed": observed}
+    else:
+        inter = intersect_members(family, range(m))
+        if row.conclusion == "acyclic":
+            holds = is_n_acyclic(inter, max(dim, -1), field)
+            witness = {"kind": "intersection", "betti": reduced_betti(inter, field).to_dict()}
+        else:
+            holds = not inter.is_empty
+            witness = {"kind": "intersection", "nonempty": holds,
+                       "size": len(inter.member_simplices)}
+    return Verdict(theorem, field, ledger, ledger.all_satisfied, holds, witness)
 
 
 def verify_prop_a(family: SubcomplexFamily, lam: int = 0, field: CoefficientField = GF2) -> Verdict:
-    """Union-vanishing from intersection-vanishing.
-
-    Hypotheses: for every subfamily of size j (1 <= j <= m) the intersection
-    has vanishing reduced homology in degree m-1-j+lam.  Conclusion: the
-    union of the whole family has vanishing homology in degree m-2+lam.
-    """
-    m = family.size
-    if m < 2:
-        raise ContractViolation("family size must be >= 2")
-    if lam < 0:
-        raise ContractViolation("lambda must be >= 0")
-    entries = []
-    for j in range(1, m + 1):
-        for combo in _subfamilies(m, j):
-            entries.append(_entry(family, combo, "intersection", m - 1 - j + lam, field))
-    ledger = HypothesisLedger(tuple(entries), lam=lam)
-    union = union_members(family, range(m))
-    degree = m - 2 + lam
-    observed = betti_number(union, degree, field)
-    witness = {"kind": "union", "degree": degree, "observed": observed}
-    return Verdict("prop-a", field, ledger, ledger.all_satisfied, observed == 0, witness)
+    """Union-vanishing from intersection-vanishing (THEOREMS["prop-a"])."""
+    return run_verifier("prop-a", family, field, lam=lam)
 
 
 def verify_theorem_b(family: SubcomplexFamily, lam: int = 0, field: CoefficientField = GF2) -> Verdict:
-    """Intersection-vanishing from one union condition plus smaller intersections.
-
-    Hypotheses: (a) the union of the whole family has vanishing homology in
-    degree m-2+lam; (b) every subfamily of size j <= m-1 has intersection
-    homology vanishing in degree m-2-j+lam.  Conclusion: the intersection of
-    the whole family has vanishing homology in degree lam-1 (for lam = 0,
-    that the intersection is nonempty).
-    """
-    m = family.size
-    if m < 2:
-        raise ContractViolation("family size must be >= 2")
-    if lam < 0:
-        raise ContractViolation("lambda must be >= 0")
-    entries = [_entry(family, tuple(range(m)), "union", m - 2 + lam, field)]
-    for j in range(1, m):
-        for combo in _subfamilies(m, j):
-            entries.append(_entry(family, combo, "intersection", m - 2 - j + lam, field))
-    ledger = HypothesisLedger(tuple(entries), lam=lam)
-    inter = intersect_members(family, range(m))
-    degree = lam - 1
-    observed = betti_number(inter, degree, field)
-    witness = {"kind": "intersection", "degree": degree, "observed": observed}
-    return Verdict("thm-b", field, ledger, ledger.all_satisfied, observed == 0, witness)
+    """Intersection-vanishing from one union condition (THEOREMS["thm-b"])."""
+    return run_verifier("thm-b", family, field, lam=lam)
 
 
 def verify_helly(family: SubcomplexFamily, d: int, field: CoefficientField = GF2) -> Verdict:
-    """Nonempty acyclic total intersection from small-subfamily vanishing.
-
-    Hypotheses: every subfamily of size j (1 <= j <= min(d+1, m)) has
-    intersection homology vanishing in degree d-j (degree -1 meaning
-    nonemptiness).  Conclusion: the intersection of the whole family is
-    nonempty and acyclic.
-    """
-    if d <= 0:
-        raise ContractViolation("d must be positive")
-    if family.ambient.declared_embedding_dim > d:
-        raise ContractViolation(
-            f"ambient declared embedding dimension {family.ambient.declared_embedding_dim} "
-            f"exceeds d={d}"
-        )
-    m = family.size
-    entries = []
-    for j in range(1, min(d + 1, m) + 1):
-        for combo in _subfamilies(m, j):
-            entries.append(_entry(family, combo, "intersection", d - j, field))
-    ledger = HypothesisLedger(tuple(entries), d=d)
-    inter = intersect_members(family, range(m))
-    conclusion = is_n_acyclic(inter, max(family.ambient.dimension, -1), field)
-    witness = {"kind": "intersection", "betti": reduced_betti(inter, field).to_dict()}
-    return Verdict("helly", field, ledger, ledger.all_satisfied, conclusion, witness)
+    """Topological Helly: a nonempty acyclic intersection (THEOREMS["helly"])."""
+    return run_verifier("helly", family, field, d=d)
 
 
 def verify_sigma(family: SubcomplexFamily, field: CoefficientField = GF2) -> Verdict:
-    """Common point from union-vanishing at every subfamily size.
-
-    Hypotheses: every subfamily of size j (1 <= j <= m) has union homology
-    vanishing in degree j-2 (j=1: members nonempty, j=2: pairwise unions
-    connected, ...).  Conclusion: the whole family has a common point.
-    """
-    m = family.size
-    if m < 2:
-        raise ContractViolation("family size must be >= 2")
-    entries = []
-    for j in range(1, m + 1):
-        for combo in _subfamilies(m, j):
-            entries.append(_entry(family, combo, "union", j - 2, field))
-    ledger = HypothesisLedger(tuple(entries))
-    inter = intersect_members(family, range(m))
-    nonempty = not inter.is_empty
-    witness = {"kind": "intersection", "nonempty": nonempty, "size": len(inter.member_simplices)}
-    return Verdict("sigma", field, ledger, ledger.all_satisfied, nonempty, witness)
+    """Common point from union-vanishing at every size (THEOREMS["sigma"])."""
+    return run_verifier("sigma", family, field)
 
 
 def verify_breen(family: SubcomplexFamily, d: int, field: CoefficientField = GF2) -> Verdict:
-    """Common point from union-vanishing on subfamilies of size at most d+1."""
-    if d <= 0:
-        raise ContractViolation("d must be positive")
-    if family.ambient.declared_embedding_dim > d:
-        raise ContractViolation(
-            f"ambient declared embedding dimension {family.ambient.declared_embedding_dim} "
-            f"exceeds d={d}"
-        )
-    m = family.size
-    if m < 2:
-        raise ContractViolation("family size must be >= 2")
-    entries = []
-    for j in range(1, min(d + 1, m) + 1):
-        for combo in _subfamilies(m, j):
-            entries.append(_entry(family, combo, "union", j - 2, field))
-    ledger = HypothesisLedger(tuple(entries), d=d)
-    inter = intersect_members(family, range(m))
-    nonempty = not inter.is_empty
-    witness = {"kind": "intersection", "nonempty": nonempty, "size": len(inter.member_simplices)}
-    return Verdict("breen", field, ledger, ledger.all_satisfied, nonempty, witness)
+    """Common point from union-vanishing up to size d+1 (THEOREMS["breen"])."""
+    return run_verifier("breen", family, field, d=d)
 
 
 @lru_cache(maxsize=8)
@@ -285,11 +299,15 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Tallies of one sweep.  The transversal theorems have no coefficient
+    field, generator or hypothesis ledger: ``field`` and ``generator`` are
+    None and the report leaves them and the failure histogram out."""
+
     theorem: str
-    field: CoefficientField
+    field: object  # CoefficientField, or None
     trials: int
     seed: int
-    generator: dict
+    generator: object  # dict, or None
     params: dict
     total: int
     hypotheses_satisfied: int
@@ -299,12 +317,10 @@ class SweepReport:
     failure_histogram: tuple  # ((j, degree, count), ...) sorted
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "theorem": self.theorem,
-            "field": self.field.value,
             "trials": self.trials,
             "seed": self.seed,
-            "generator": self.generator,
             "params": self.params,
             "counts": {
                 "total": self.total,
@@ -313,75 +329,53 @@ class SweepReport:
                 "conclusion_violated": self.conclusion_violated,
                 "hypotheses_failed_conclusion_failed": self.hypotheses_failed_conclusion_failed,
             },
-            "hypothesis_failure_histogram": [
+        }
+        if self.field is not None:
+            out["field"] = self.field.value
+            out["generator"] = self.generator
+            out["hypothesis_failure_histogram"] = [
                 {"j": j, "degree": degree, "count": count}
                 for (j, degree, count) in self.failure_histogram
-            ],
-        }
+            ]
+        return out
 
 
-def _trial_seed(seed: int, trial: int) -> int:
-    # flat integer derivation keeps trials schedule-independent
-    return seed * 1_000_003 + trial
-
-
-def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField = GF2,
-                 d: int = 2, lam: int = 0) -> Verdict:
-    if theorem == "prop-a":
-        return verify_prop_a(family, lam, field)
-    if theorem == "thm-b":
-        return verify_theorem_b(family, lam, field)
-    if theorem == "helly":
-        return verify_helly(family, d, field)
-    if theorem == "sigma":
-        return verify_sigma(family, field)
-    if theorem == "breen":
-        return verify_breen(family, d, field)
-    raise ContractViolation(f"unknown theorem tag {theorem!r}")
-
-
-def sweep(theorem: str, trials: int, *, grid_n: int = 12, m: int = 4,
-          growth_steps: int = 40, seed: int = 0, field: CoefficientField = GF2,
-          d: int = 2, lam: int = 0) -> SweepReport:
-    """Tally hypothesis satisfaction and conclusion outcomes over random families.
+def tally_sweep(theorem: str, trials: int, seed: int, params: dict, trial,
+                field: CoefficientField = None, generator: dict = None) -> SweepReport:
+    """The loop of `sweep` and `sweep_transversal`: `trial(trial_seed)` checks
+    one random instance and returns (hypotheses_hold, conclusion_holds,
+    failed ledger entries).
 
     `conclusion_violated` counts trials where the hypotheses held but the
     conclusion failed; any nonzero value contradicts a theorem and means an
     implementation bug.  `hypotheses_failed_conclusion_failed` witnesses the
     checks are not vacuous.
     """
-    if theorem not in ENGINE_THEOREMS:
-        raise ContractViolation(f"unknown theorem tag {theorem!r}")
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     satisfied = held = violated = failed_failed = 0
     histogram = {}
-    for trial in range(trials):
-        family = random_family(grid_n, m, growth_steps, _trial_seed(seed, trial))
-        verdict = run_verifier(theorem, family, field, d=d, lam=lam)
-        if verdict.hypotheses_hold:
+    for t in range(trials):
+        # flat integer derivation keeps trials schedule-independent
+        hyp, concl, failed = trial(seed * 1_000_003 + t)
+        if hyp:
             satisfied += 1
-            if verdict.conclusion_holds:
+            if concl:
                 held += 1
             else:
                 violated += 1
         else:
-            if not verdict.conclusion_holds:
+            if not concl:
                 failed_failed += 1
-            for entry in verdict.ledger.failed_entries():
+            for entry in failed:
                 key = (entry.j, entry.degree)
                 histogram[key] = histogram.get(key, 0) + 1
-    params = {}
-    if theorem in ("prop-a", "thm-b"):
-        params["lambda"] = lam
-    if theorem in ("helly", "breen"):
-        params["d"] = d
     return SweepReport(
         theorem=theorem,
         field=field,
         trials=trials,
         seed=seed,
-        generator={"grid_n": grid_n, "m": m, "growth_steps": growth_steps},
+        generator=generator,
         params=params,
         total=trials,
         hypotheses_satisfied=satisfied,
@@ -390,3 +384,18 @@ def sweep(theorem: str, trials: int, *, grid_n: int = 12, m: int = 4,
         hypotheses_failed_conclusion_failed=failed_failed,
         failure_histogram=tuple(sorted((j, deg, c) for (j, deg), c in histogram.items())),
     )
+
+
+def sweep(theorem: str, trials: int, *, grid_n: int = 12, m: int = 4,
+          growth_steps: int = 40, seed: int = 0, field: CoefficientField = GF2,
+          d: int = 2, lam: int = 0) -> SweepReport:
+    """Tally hypothesis satisfaction and conclusion outcomes over random families."""
+    params = theorem_params(theorem, d, lam)
+
+    def trial(trial_seed):
+        family = random_family(grid_n, m, growth_steps, trial_seed)
+        verdict = run_verifier(theorem, family, field, d=d, lam=lam)
+        return verdict.hypotheses_hold, verdict.conclusion_holds, verdict.ledger.failed_entries()
+
+    generator = {"grid_n": grid_n, "m": m, "growth_steps": growth_steps}
+    return tally_sweep(theorem, trials, seed, params, trial, field, generator)

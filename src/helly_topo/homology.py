@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ContractViolation
+from .errors import ContractViolation, InvariantViolation
 
 
 class CoefficientField(Enum):
@@ -155,23 +155,6 @@ def _boundary_rank(lower, uppers, field: CoefficientField) -> int:
     return _rank_bareiss(_signed_boundary(lower, uppers))
 
 
-def matrix_rank(mat, field: CoefficientField) -> int:
-    """Exact rank of an integer matrix over the chosen field."""
-    rows = [row for row in mat if row]
-    if not rows:
-        return 0
-    if field is GF2:
-        cols = []
-        for j in range(len(rows[0])):
-            mask = 0
-            for i, row in enumerate(rows):
-                if row[j] % 2:
-                    mask |= 1 << i
-            cols.append(mask)
-        return _rank_gf2_columns(cols)
-    return _rank_bareiss(rows)
-
-
 def boundary_matrix(cx, k: int, field: CoefficientField = RATIONALS):
     """Boundary operator from k-chains to (k-1)-chains, as a dense int matrix.
 
@@ -234,9 +217,10 @@ def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
     for k in range(1, dim + 1):
         betti[k] = len(by.get(k, [])) - ranks[k] - ranks[k + 1]
     comps = _component_count(cx)
-    assert betti[0] + 1 == comps, (
-        f"rank-based b0={betti[0]} disagrees with graph components={comps}"
-    )
+    if betti[0] + 1 != comps:
+        raise InvariantViolation(
+            f"rank-based b0={betti[0]} disagrees with graph components={comps}"
+        )
     return BettiVector(True, betti, field)
 
 
@@ -277,13 +261,6 @@ def is_n_acyclic(cx, n: int, field: CoefficientField = GF2) -> bool:
         return True
     bv = reduced_betti(cx, field)
     return all(bv.betti_at(k) == 0 for k in range(0, n + 1))
-
-
-def is_acyclic(cx, field: CoefficientField = GF2) -> bool:
-    """Nonempty with all reduced homology vanishing."""
-    if not cx.simplices:
-        return False
-    return is_n_acyclic(cx, cx.dimension, field)
 
 
 @dataclass(frozen=True)

@@ -33,21 +33,17 @@ import numpy as np
 
 from .errors import (
     ContractViolation,
-    DegenerateInput,
     GenerationFailure,
+    InvariantViolation,
     ValidationError,
 )
+from .helly_engine import SweepReport, tally_sweep
 
 TWO_PI = 2.0 * math.pi
 
 # feasible arcs or gaps narrower than this (radians) get a degeneracy flag:
 # a sampling oracle may misread the component count near such features
 NARROW_FEATURE_WIDTH = 1e-2
-
-# expected (b0, b1) of the transversal space for the implemented cases:
-# one polygon in the plane (circle of directions), and a separated pair
-# (a single direction interval, i.e. a point up to homotopy)
-GRASSMANNIAN_EXPECTATION = {(1, 2): (0, 1), (0, 1): (0, 0)}
 
 
 def _to_fraction(value) -> Fraction:
@@ -220,19 +216,6 @@ def _feasibility_sign_at(scaled_polys, d) -> int:
 # the exact envelope sweep
 
 @dataclass(frozen=True)
-class SinusoidPiece:
-    """One envelope piece: value(t) = a*cos(t) + b*sin(t) on [theta0, theta1)."""
-
-    a: Fraction
-    b: Fraction
-    theta0: float
-    theta1: float
-
-    def value(self, theta: float) -> float:
-        return float(self.a) * math.cos(theta) + float(self.b) * math.sin(theta)
-
-
-@dataclass(frozen=True)
 class Panel:
     """One arc of the direction circle on which both envelopes are a single
     vertex sinusoid each; the feasibility sign is constant on the open arc."""
@@ -244,10 +227,6 @@ class Panel:
     lower_member: int
     lower_vertex: tuple
     feasible_sign: int
-
-    @property
-    def interior_dir(self) -> tuple:
-        return (self.start[0] + self.end[0], self.start[1] + self.end[1])
 
     @property
     def start_angle(self) -> float:
@@ -280,35 +259,6 @@ class TransversalProfile:
     @property
     def breakpoints(self) -> tuple:
         return tuple(sorted(p.start_angle for p in self.panels))
-
-    def upper_pieces(self):
-        return tuple(
-            SinusoidPiece(
-                Fraction(p.upper_vertex[0], self.scale),
-                Fraction(p.upper_vertex[1], self.scale),
-                p.start_angle,
-                p.end_angle,
-            )
-            for p in self.panels
-        )
-
-    def lower_pieces(self):
-        return tuple(
-            SinusoidPiece(
-                Fraction(p.lower_vertex[0], self.scale),
-                Fraction(p.lower_vertex[1], self.scale),
-                p.start_angle,
-                p.end_angle,
-            )
-            for p in self.panels
-        )
-
-    def panel_containing(self, d) -> Panel:
-        """The panel whose open arc strictly contains direction d."""
-        for p in self.panels:
-            if _strictly_inside(p.start, p.end, d):
-                return p
-        raise DegenerateInput(f"direction {d} lies on a panel boundary")
 
 
 def transversal_profile(family: PolygonFamily) -> TransversalProfile:
@@ -498,7 +448,8 @@ def components(profile: TransversalProfile) -> ComponentSummary:
 
     def _element_panel(e):
         # feasible runs open and close on panel elements (odd indices)
-        assert e % 2 == 1, "feasible run touches an isolated boundary point"
+        if e % 2 != 1:
+            raise InvariantViolation("feasible run touches an isolated boundary point")
         return e // 2
 
     arcs_full = []
@@ -512,12 +463,14 @@ def components(profile: TransversalProfile) -> ComponentSummary:
         arcs_full.append((d0, a0, width))
 
     count_full = len(arcs_full)
-    assert count_full % 2 == 0, "feasible arcs must come in antipodal pairs"
+    if count_full % 2 != 0:
+        raise InvariantViolation("feasible arcs must come in antipodal pairs")
 
     quotient_arcs = [
         (a0, a0 + width) for (d0, a0, width) in arcs_full if _upper_half(d0)
     ]
-    assert len(quotient_arcs) == count_full // 2
+    if len(quotient_arcs) != count_full // 2:
+        raise InvariantViolation("antipodal arc pairs must have one member in [0, pi)")
 
     widths = [w for (_, _, w) in arcs_full]
     min_arc = min(widths)
@@ -662,9 +615,8 @@ def verify_lemma_311_plane(polygon: ConvexPolygon) -> LemmaVerdict:
     """One polygon: every direction admits a transversal, so the space is
     circle-like, (b0, b1) = (0, 1)."""
     summary = components(transversal_profile(PolygonFamily((polygon,))))
-    b0, b1 = GRASSMANNIAN_EXPECTATION[(1, 2)]
-    passed = summary.full_circle and summary.betti() == {"nonempty": True, "b0": b0, "b1": b1}
-    return LemmaVerdict("lemma-311", passed, {"b0": b0, "b1": b1}, summary)
+    passed = summary.full_circle and summary.betti() == {"nonempty": True, "b0": 0, "b1": 1}
+    return LemmaVerdict("lemma-311", passed, {"b0": 0, "b1": 1}, summary)
 
 
 def verify_lemma_312_plane(a: ConvexPolygon, b: ConvexPolygon) -> LemmaVerdict:
@@ -673,9 +625,8 @@ def verify_lemma_312_plane(a: ConvexPolygon, b: ConvexPolygon) -> LemmaVerdict:
     if not polygons_disjoint(a, b):
         raise ContractViolation("pair is not separated: the interiors intersect")
     summary = components(transversal_profile(PolygonFamily((a, b))))
-    b0, b1 = GRASSMANNIAN_EXPECTATION[(0, 1)]
     passed = (summary.component_count == 1) and not summary.full_circle
-    return LemmaVerdict("lemma-312", passed, {"b0": b0, "b1": b1}, summary)
+    return LemmaVerdict("lemma-312", passed, {"b0": 0, "b1": 0}, summary)
 
 
 def verify_lemma_313(a: ConvexPolygon, b: ConvexPolygon, c: ConvexPolygon) -> LemmaVerdict:
@@ -954,89 +905,30 @@ def load_polygon_family(path) -> PolygonFamily:
 TRANSVERSAL_THEOREMS = ("lemma-311", "lemma-312", "lemma-313", "thm-321")
 
 
-@dataclass(frozen=True)
-class TransversalSweepReport:
-    theorem: str
-    trials: int
-    seed: int
-    params: dict
-    total: int
-    hypotheses_satisfied: int
-    conclusion_held: int
-    conclusion_violated: int
-    hypotheses_failed_conclusion_failed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "trials": self.trials,
-            "seed": self.seed,
-            "params": self.params,
-            "counts": {
-                "total": self.total,
-                "hypotheses_satisfied": self.hypotheses_satisfied,
-                "conclusion_held": self.conclusion_held,
-                "conclusion_violated": self.conclusion_violated,
-                "hypotheses_failed_conclusion_failed": self.hypotheses_failed_conclusion_failed,
-            },
-        }
-
-
-def _trial_seed(seed: int, trial: int) -> int:
-    return seed * 1_000_003 + trial
-
-
-def sweep_transversal(theorem: str, trials: int, seed: int = 0, m: int = 6) -> TransversalSweepReport:
+def sweep_transversal(theorem: str, trials: int, seed: int = 0, m: int = 6) -> SweepReport:
     """Randomized sweep over the transversal lemmas and the six-member
     transversal theorem; zero conclusion violations expected always."""
     if theorem not in TRANSVERSAL_THEOREMS:
         raise ContractViolation(f"unknown theorem tag {theorem!r}")
-    if trials < 1:
-        raise ContractViolation("trials must be >= 1")
-    satisfied = held = violated = failed_failed = 0
-    for trial in range(trials):
-        ts = _trial_seed(seed, trial)
+
+    def trial(ts):
         rng = random.Random(f"transversal-sweep:{theorem}:{ts}")
+
+        def polygon(spread):
+            center = (rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+            return random_convex_polygon(rng, center, rng.uniform(0.5, 2.0), rng.randint(3, 16))
+
         if theorem == "lemma-311":
-            poly = random_convex_polygon(
-                rng, (rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                rng.uniform(0.5, 2.0), rng.randint(3, 16)
-            )
-            verdict = verify_lemma_311_plane(poly)
-            hyp, concl = True, verdict.passed
-        elif theorem == "lemma-312":
+            return True, verify_lemma_311_plane(polygon(2)).passed, ()
+        if theorem == "lemma-312":
             a, b = random_disjoint_pair(ts)
-            verdict = verify_lemma_312_plane(a, b)
-            hyp, concl = True, verdict.passed
-        elif theorem == "lemma-313":
+            return True, verify_lemma_312_plane(a, b).passed, ()
+        if theorem == "lemma-313":
             a, b = random_disjoint_pair(ts)
-            c = random_convex_polygon(
-                rng, (rng.uniform(-6, 6), rng.uniform(-6, 6)),
-                rng.uniform(0.5, 2.0), rng.randint(3, 16)
-            )
-            verdict = verify_lemma_313(a, b, c)
-            hyp, concl = True, verdict.passed
-        else:  # thm-321
-            jitter = rng.uniform(0.05, 1.2)
-            family = random_stabbed_family(m, ts, jitter=jitter)
-            verdict = verify_theorem_321(family)
-            hyp, concl = verdict.hypotheses_hold, verdict.conclusion_holds
-        if hyp:
-            satisfied += 1
-            if concl:
-                held += 1
-            else:
-                violated += 1
-        elif not concl:
-            failed_failed += 1
-    return TransversalSweepReport(
-        theorem=theorem,
-        trials=trials,
-        seed=seed,
-        params={"m": m} if theorem == "thm-321" else {},
-        total=trials,
-        hypotheses_satisfied=satisfied,
-        conclusion_held=held,
-        conclusion_violated=violated,
-        hypotheses_failed_conclusion_failed=failed_failed,
-    )
+            return True, verify_lemma_313(a, b, polygon(6)).passed, ()
+        jitter = rng.uniform(0.05, 1.2)
+        verdict = verify_theorem_321(random_stabbed_family(m, ts, jitter=jitter))
+        return verdict.hypotheses_hold, verdict.conclusion_holds, ()
+
+    params = {"m": m} if theorem == "thm-321" else {}
+    return tally_sweep(theorem, trials, seed, params, trial)

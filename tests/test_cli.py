@@ -173,3 +173,27 @@ def test_seed_is_echoed_in_sweep(capsys):
                      "--growth", "20", "--trials", "5", "--seed", "77"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["seed"] == 77
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"ambient": 5},
+        {"members": [{"label": "A1", "simplices": 7}]},
+        {"members": [{"label": "A1", "simplices": [3]}]},
+        {"embedding_dim": True},
+    ],
+    ids=["int-ambient", "int-simplices", "bare-int-simplex", "bool-embedding-dim"],
+)
+def test_malformed_family_file_exits_three(tmp_path, capsys, change):
+    # a one-dimensional family, so that a bool embedding_dim read as 1 would load
+    data = {
+        "ambient": [[0, 1], [1, 2]],
+        "embedding_dim": 1,
+        "members": [{"label": "A1", "simplices": [[0, 1]]}],
+    }
+    data.update(change)
+    path = tmp_path / "bad_family.json"
+    path.write_text(json.dumps(data))
+    code, _ = run(["homology", "--in", str(path), "--member", "A1"], capsys)
+    assert code == 3

@@ -1,15 +1,22 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from helly_topo import homology
+from helly_topo.cli import main
 from helly_topo.complex_core import Subcomplex, build_complex, face_closure, grid_complex
-from helly_topo.errors import ContractViolation
+from helly_topo.errors import ContractViolation, InvariantViolation
 from helly_topo.homology import (
     GF2,
     RATIONALS,
     CoefficientField,
     boundary_matrix,
     betti_number,
+    _boundary_rank,
     is_n_acyclic,
-    matrix_rank,
     mv_consistency,
     reduced_betti,
 )
@@ -37,21 +44,23 @@ def test_boundary_matrix_triangle_rank():
     cx = build_complex([[0, 1], [1, 2], [0, 2]])
     mat = boundary_matrix(cx, 1)
     assert len(mat) == 3 and len(mat[0]) == 3
-    assert matrix_rank(mat, GF2) == 2
-    assert matrix_rank(boundary_matrix(cx, 1, RATIONALS), RATIONALS) == 2
+    for field in (GF2, RATIONALS):
+        assert _boundary_rank([(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], field) == 2
 
 
 def test_boundary_matrix_above_dimension_has_no_columns():
     cx = build_complex([[0, 1], [1, 2], [0, 2]])
     mat = boundary_matrix(cx, 2)
     assert all(len(row) == 0 for row in mat)
-    assert matrix_rank(mat, GF2) == 0
+    for field in (GF2, RATIONALS):
+        assert _boundary_rank([(0, 1), (0, 2), (1, 2)], [], field) == 0
 
 
 def test_boundary_matrix_augmentation():
     cx = build_complex([[0]])
     assert boundary_matrix(cx, 0) == [[1]]
-    assert matrix_rank(boundary_matrix(cx, 1), GF2) == 0
+    for field in (GF2, RATIONALS):
+        assert _boundary_rank([(0,)], [], field) == 0
 
 
 def test_boundary_matrix_squares_to_zero():
@@ -172,3 +181,38 @@ def test_field_tags_round_trip():
     assert CoefficientField.from_tag("q") is RATIONALS
     with pytest.raises(ContractViolation):
         CoefficientField.from_tag("gf3")
+
+
+def test_b0_cross_check_raises_invariant_violation(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(homology, "_component_count", lambda cx: 5)
+    with pytest.raises(InvariantViolation):
+        reduced_betti(build_complex([[0, 1]]), GF2)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({
+        "ambient": [[0, 1]],
+        "embedding_dim": 1,
+        "members": [{"label": "A1", "simplices": [[0, 1]]}],
+    }))
+    assert main(["homology", "--in", str(path)]) == 1
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_b0_cross_check_survives_optimized_mode():
+    # python -O strips assert statements; the cross-check must still fire
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "from helly_topo import homology\n"
+        "from helly_topo.complex_core import build_complex\n"
+        "from helly_topo.errors import InvariantViolation\n"
+        "homology._component_count = lambda cx: 5\n"
+        "try:\n"
+        "    homology.reduced_betti(build_complex([[0, 1]]))\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

@@ -1,8 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from helly_topo.cli import main
 from helly_topo.errors import ContractViolation, GenerationFailure, ValidationError
 from helly_topo.transversal_plane import (
     ConvexPolygon,
@@ -105,25 +107,33 @@ def test_profile_envelopes_continuous_at_breakpoints():
 
 def test_seam_identity_exact():
     # the lower envelope at the antipodal direction is carried by the upper
-    # envelope's vertex and vice versa: L(t + pi) = -U(t) at coefficient level
+    # envelope's vertex and vice versa: L(t + pi) = -U(t) at coefficient level.
+    # Panels are antipodally symmetric, so the antipode of panel k is panel
+    # k + n/2.
     for seed in (3, 5, 8):
         fam = random_polygon_family(3, seed=seed)
         prof = transversal_profile(fam)
-        for panel in prof.panels:
-            t = panel.interior_dir
-            anti = prof.panel_containing((-t[0], -t[1]))
+        n = len(prof.panels)
+        assert n % 2 == 0
+        for k, panel in enumerate(prof.panels):
+            anti = prof.panels[(k + n // 2) % n]
+            assert anti.start == (-panel.start[0], -panel.start[1])
             assert anti.lower_vertex == panel.upper_vertex
             assert anti.upper_vertex == panel.lower_vertex
 
 
-def test_sinusoid_pieces_match_support():
-    fam = PolygonFamily((UNIT_SQUARE,))
-    prof = transversal_profile(fam)
-    for piece, panel in zip(prof.upper_pieces(), prof.panels):
-        theta = 0.5 * (panel.start_angle + panel.end_angle) \
-            if panel.end_angle > panel.start_angle else panel.start_angle
+def test_sinusoid_pieces_match_support(tmp_path, capsys):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"members": [{"label": "P1", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}))
+    assert main(["transversal", "profile", "--in", str(path)]) == 0
+    panels = json.loads(capsys.readouterr().out)["result"]["panels"]
+    assert panels
+    for panel in panels:
+        start, end = panel["start_angle"], panel["end_angle"]
+        theta = 0.5 * (start + end) if end > start else start
+        a, b = Fraction(panel["upper"]["a"]), Fraction(panel["upper"]["b"])
         _, hi = support_interval(UNIT_SQUARE, theta)
-        assert piece.value(theta) == pytest.approx(hi, abs=1e-9)
+        assert float(a) * math.cos(theta) + float(b) * math.sin(theta) == pytest.approx(hi, abs=1e-9)
 
 
 # --- components ------------------------------------------------------------
