@@ -3,8 +3,7 @@
 JSON reports go to stdout (or --out); a one-line human summary goes to
 stderr.  Exit codes: 0 command completed with no theorem violation, 2
 hypotheses not satisfied (verdict still emitted), 3 input validation
-error, 4 degenerate-input certification failure, 1 internal error or
-theorem violation.
+error, 1 internal error or theorem violation.
 
 Reports are byte-identical for identical argv and input files: keys are
 sorted, seeds are echoed, and no timing or host information is embedded.
@@ -21,7 +20,6 @@ from . import __version__
 from .complex_core import load_family
 from .errors import (
     ContractViolation,
-    DegenerateInput,
     GenerationFailure,
     HellyTopoError,
     MalformedInput,
@@ -40,7 +38,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_HYPOTHESES_FAILED = 2
 EXIT_VALIDATION = 3
-EXIT_DEGENERATE = 4
 
 THEOREM_TAGS = sorted(engine.ENGINE_THEOREMS + tp.TRANSVERSAL_THEOREMS)
 
@@ -277,9 +274,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         _say(f"input error: {exc}")
         return EXIT_VALIDATION
-    except DegenerateInput as exc:
-        _say(f"degenerate input: {exc}")
-        return EXIT_DEGENERATE
     except GenerationFailure as exc:
         _say(f"generation failure: {exc}")
         return EXIT_INTERNAL

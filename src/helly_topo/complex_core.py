@@ -89,17 +89,6 @@ class SimplicialComplex:
         """Max simplex dimension; -1 for the empty complex."""
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.simplices
-
-    def counts(self) -> dict:
-        """Number of k-simplices per dimension k."""
-        out = {}
-        for s in self.simplices:
-            out[len(s) - 1] = out.get(len(s) - 1, 0) + 1
-        return out
-
 
 @dataclass(frozen=True)
 class Subcomplex:

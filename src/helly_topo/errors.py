@@ -21,10 +21,6 @@ class ValidationError(HellyTopoError):
     """An input file or assembled object failed semantic validation."""
 
 
-class DegenerateInput(HellyTopoError):
-    """A geometric sign decision could not be certified for this input."""
-
-
 class GenerationFailure(HellyTopoError):
     """A randomized generator exhausted its attempt budget."""
 

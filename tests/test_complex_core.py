@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -159,7 +160,7 @@ def test_parse_rejects_duplicate_labels():
 
 def test_grid_complex_counts():
     cx = grid_complex(2)
-    counts = cx.counts()
+    counts = Counter(len(s) - 1 for s in cx.simplices)
     assert counts[0] == 9 and counts[2] == 8
     assert counts[1] == 16  # 6 horizontal + 6 vertical + 4 diagonal
     assert cx.declared_embedding_dim == 2

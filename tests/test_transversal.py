@@ -1,12 +1,15 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helly_topo.cli import main
 from helly_topo.errors import ContractViolation, GenerationFailure, ValidationError
 from helly_topo.transversal_plane import (
+    _subfamily_counts,
     ConvexPolygon,
     PolygonFamily,
     components,
@@ -327,6 +330,97 @@ def test_theorem_321_failing_subfamily_is_pinpointed():
     assert failing
     assert any(c["check"] == "size4_connected" and set(c["indices"]) == {0, 1, 2, 3}
                for c in failing)
+
+
+# the pair-arc kernel against the profile oracle
+
+# no horizontal line meets both the triangle P1 (y < 1) and the square P2
+# (y > 1), but lines tilted slightly either way through the apex (1, 1) meet
+# all three members: the horizontal direction is a puncture that splits the
+# feasible set into 2 components
+PUNCTURED_TRIPLE = PolygonFamily((
+    ConvexPolygon(((0, 0), (2, 0), (1, 1))),
+    ConvexPolygon(((0, 1), (3, 1), (3, 4), (0, 4))),
+    ConvexPolygon(((5, "1/2"), (6, "1/2"), (6, "3/2"), (5, "3/2"))),
+))
+
+
+def _all_subsets(m):
+    return [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
+
+
+def _assert_kernel_matches_oracle(fam):
+    subsets = _all_subsets(fam.size)
+    counts = _subfamily_counts(fam, subsets)
+    for subset, count in zip(subsets, counts):
+        oracle = components(transversal_profile(fam.subfamily(subset)))
+        assert count == oracle.component_count, subset
+    return counts
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_subfamily_counts_match_profile_on_stabbed_families(m):
+    for seed, jitter in enumerate((0.05, 0.6, 1.2)):
+        _assert_kernel_matches_oracle(random_stabbed_family(m, seed, jitter=jitter))
+
+
+def test_subfamily_counts_match_profile_on_random_families():
+    counts = []
+    for seed in range(60):
+        fam = random_polygon_family(5, box=(-4, 4, -4, 4), seed=seed)
+        counts += _assert_kernel_matches_oracle(fam)
+    assert max(counts) >= 2
+
+
+@pytest.mark.parametrize("members, kind, count", [
+    ((square(0, 0), square(0.25, 0)), None, 1),  # overlap: full circle
+    ((square(0, 0), square(1, 0)), "tangent_direction", 1),
+    ((square(0, 0), square(1, 1)), "coincident_support_arc", 1),
+    (PUNCTURED_TRIPLE.members, "tangent_direction", 2),
+], ids=["overlapping-pair", "edge-touching", "corner-touching", "puncture"])
+def test_subfamily_counts_match_profile_on_edge_cases(members, kind, count):
+    fam = PolygonFamily(members)
+    whole = components(transversal_profile(fam))
+    assert whole.component_count == count
+    assert whole.full_circle == (kind is None)
+    if kind is not None:
+        assert kind in {dict(f)["kind"] for f in whole.flags}
+    assert _assert_kernel_matches_oracle(fam)[-1] == count
+
+
+def _affine_image(fam, shear, turns, shift):
+    """Image under an integer shear, quarter turns and a rational shift;
+    every map has determinant 1, so vertex cycles stay counterclockwise."""
+    members = []
+    for poly in fam.members:
+        verts = []
+        for x, y in poly.vertices:
+            x, y = x + shear * y, y
+            for _ in range(turns):
+                x, y = -y, x
+            verts.append((x + shift[0], y + shift[1]))
+        members.append(ConvexPolygon(tuple(verts)))
+    return PolygonFamily(tuple(members), fam.labels)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    jitter=st.floats(0.05, 1.2),
+    shear=st.integers(-3, 3),
+    turns=st.integers(0, 3),
+    shift=st.tuples(
+        st.fractions(-20, 20, max_denominator=12), st.fractions(-20, 20, max_denominator=12)
+    ),
+)
+def test_affine_maps_preserve_counts(seed, jitter, shear, turns, shift):
+    fam = random_stabbed_family(6, seed, jitter=jitter)
+    image = _affine_image(fam, shear, turns, shift)
+    subsets = _all_subsets(fam.size)
+    assert _subfamily_counts(image, subsets) == _subfamily_counts(fam, subsets)
+    before, after = verify_theorem_321(fam), verify_theorem_321(image)
+    assert after.checks == before.checks
+    assert after.conclusion_holds == before.conclusion_holds
 
 
 def test_theorem_321_requires_six_members():
