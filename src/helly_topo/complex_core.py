@@ -12,6 +12,7 @@ vertex ids; complexes compare by simplex-set equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -84,10 +85,18 @@ class SimplicialComplex:
                 f"dimension {self.declared_embedding_dim}"
             )
 
-    @property
+    @functools.cached_property
     def dimension(self) -> int:
         """Max simplex dimension; -1 for the empty complex."""
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return max(map(len, self.simplices), default=0) - 1
+
+    @functools.cached_property
+    def _facets(self) -> dict:
+        """Simplex -> its codimension-1 faces (none for a vertex)."""
+        return {
+            s: tuple(s[:i] + s[i + 1:] for i in range(len(s))) if len(s) > 1 else ()
+            for s in self.simplices
+        }
 
 
 @dataclass(frozen=True)
@@ -100,19 +109,25 @@ class Subcomplex:
     def __post_init__(self):
         if not isinstance(self.member_simplices, frozenset):
             object.__setattr__(self, "member_simplices", frozenset(self.member_simplices))
-        for s in self.member_simplices:
+        members = self.member_simplices
+        # both checks as set operations; the loops below only name the culprit
+        if members <= self.parent.simplices and members.issuperset(
+            itertools.chain.from_iterable(map(self.parent._facets.__getitem__, members))
+        ):
+            return
+        for s in members:
             if s not in self.parent.simplices:
                 raise ValidationError(f"simplex {list(s)} is not in the ambient complex")
-        if not _is_face_closed(self.member_simplices):
+        if not _is_face_closed(members):
             raise ValidationError("subcomplex is not closed under taking faces")
 
     @property
     def simplices(self) -> frozenset:
         return self.member_simplices
 
-    @property
+    @functools.cached_property
     def dimension(self) -> int:
-        return max((len(s) - 1 for s in self.member_simplices), default=-1)
+        return max(map(len, self.member_simplices), default=0) - 1
 
     @property
     def is_empty(self) -> bool:

@@ -7,14 +7,18 @@ Betti entry).  A complex is connected exactly when its reduced b_0 is 0,
 which makes the empty complex vacuously connected.
 
 Ranks are computed exactly: bitset Gaussian elimination over GF(2) and
-fraction-free (Bareiss) integer elimination for the rationals.  No
+fraction-free (Bareiss) integer elimination for the rationals.
+`betti_number` skips elimination where a rank identity holds (see
+`_rank`); `reduced_betti` always eliminates and is the oracle for it.  No
 floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import ContractViolation, InvariantViolation
 
@@ -155,30 +159,15 @@ def _boundary_rank(lower, uppers, field: CoefficientField) -> int:
     return _rank_bareiss(_signed_boundary(lower, uppers))
 
 
-def boundary_matrix(cx, k: int, field: CoefficientField = RATIONALS):
-    """Boundary operator from k-chains to (k-1)-chains, as a dense int matrix.
-
-    Rows are indexed by the sorted (k-1)-simplices and columns by the sorted
-    k-simplices.  For k = 0 this is the augmentation row (all ones) of the
-    reduced chain complex.  Over GF(2) entries are reduced mod 2.
-    """
-    if k < 0:
-        raise ContractViolation("boundary dimension must be >= 0")
-    by = _simplices_by_dim(cx)
-    if k == 0:
-        verts = by.get(0, [])
-        return [[1] * len(verts)] if verts else []
-    lower = by.get(k - 1, [])
-    uppers = by.get(k, [])
-    mat = _signed_boundary(lower, uppers)
-    if field is GF2:
-        mat = [[abs(x) % 2 for x in row] for row in mat]
-    return mat
-
-
 def _component_count(cx) -> int:
     """Connected components of the 1-skeleton, by union-find."""
     parent = {}
+    edges = []
+    for s in cx.simplices:
+        if len(s) == 1:
+            parent[s[0]] = s[0]
+        elif len(s) == 2:
+            edges.append(s)
 
     def find(x):
         root = x
@@ -188,15 +177,13 @@ def _component_count(cx) -> int:
             parent[x], x = root, parent[x]
         return root
 
-    for s in cx.simplices:
-        if len(s) == 1:
-            parent.setdefault(s[0], s[0])
-    for s in cx.simplices:
-        if len(s) == 2:
-            a, b = find(s[0]), find(s[1])
-            if a != b:
-                parent[a] = b
-    return sum(1 for v in parent if find(v) == v)
+    merges = 0
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return len(parent) - merges
 
 
 def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
@@ -228,7 +215,8 @@ def betti_number(cx, k: int, field: CoefficientField = GF2) -> int:
     """Single reduced Betti number, with the degree -1 emptiness convention.
 
     Cheaper than the full vector: degree -1 is an emptiness test, degree 0
-    a graph search, and only degrees >= 1 touch boundary matrices.
+    a graph search, and b_k = n_k - rank d_k - rank d_{k+1} takes each rank
+    from `_rank` without elimination where linear algebra fixes it.
     """
     if k < -1:
         return 0
@@ -237,15 +225,47 @@ def betti_number(cx, k: int, field: CoefficientField = GF2) -> int:
         return 0 if nonempty else 1
     if not nonempty:
         return 0
-    by = _simplices_by_dim(cx)
-    dim = max(by)
-    if k > dim:
-        return 0
     if k == 0:
         return _component_count(cx) - 1
-    rk = _boundary_rank(by.get(k - 1, []), by.get(k, []), field)
-    rk_up = _boundary_rank(by.get(k, []), by.get(k + 1, []), field) if k + 1 <= dim else 0
-    return len(by[k]) - rk - rk_up
+    counts = Counter(map(len, cx.simplices))  # vertex count -> simplices
+    if not counts[k + 1]:
+        return 0
+    return counts[k + 1] - _rank(cx, counts, k, field) - _rank(cx, counts, k + 1, field)
+
+
+def _rank(cx, counts, k: int, field: CoefficientField) -> int:
+    """Rank of the boundary map from k-chains of cx, over either field.
+
+    rank d_1 = V - c over every field, c the union-find component count.
+    At the ambient's top dimension D, a subcomplex's D-cycles are D-cycles
+    of the ambient, so when the ambient has none (`_top_boundary_injective`)
+    rank d_D is the number of D-simplices.  Every other rank is eliminated;
+    `reduced_betti` eliminates every rank and is the oracle for this path.
+    """
+    if not counts[k + 1]:
+        return 0
+    if k == 1:
+        return counts[1] - _component_count(cx)
+    ambient = getattr(cx, "parent", cx)
+    if k == ambient.dimension and _top_boundary_injective(ambient):
+        return counts[k + 1]
+    return _boundary_rank(_simplices_of_dim(cx, k - 1), _simplices_of_dim(cx, k), field)
+
+
+def _simplices_of_dim(cx, k: int) -> list:
+    return sorted(s for s in cx.simplices if len(s) == k + 1)
+
+
+@lru_cache(maxsize=8)
+def _top_boundary_injective(ambient) -> bool:
+    """Whether the ambient's top boundary map has trivial kernel.
+
+    Decided over GF(2), which also settles the rationals: a full-rank
+    boundary mod 2 has an odd maximal minor, a nonzero integer.
+    """
+    top = ambient.dimension
+    uppers = _simplices_of_dim(ambient, top)
+    return _boundary_rank(_simplices_of_dim(ambient, top - 1), uppers, GF2) == len(uppers)
 
 
 def is_n_acyclic(cx, n: int, field: CoefficientField = GF2) -> bool:

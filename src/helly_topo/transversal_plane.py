@@ -204,14 +204,6 @@ def _argmax_vertex(verts, d):
     return best
 
 
-def _feasibility_sign_at(scaled_polys, d) -> int:
-    """Sign of min_i max_v v.d - max_i min_v v.d at an exact direction."""
-    upper = min(max(_dot(v, d) for v in verts) for verts in scaled_polys)
-    lower = max(min(_dot(v, d) for v in verts) for verts in scaled_polys)
-    diff = upper - lower
-    return (diff > 0) - (diff < 0)
-
-
 # ---------------------------------------------------------------------------
 # the exact envelope sweep
 
@@ -328,8 +320,13 @@ def transversal_profile(family: PolygonFamily) -> TransversalProfile:
                     Panel(a0, a1, u_member, vu, l_member, vl, sign)
                 )
 
-    boundary_signs = tuple(_feasibility_sign_at(polys, p.start) for p in panels)
-    return TransversalProfile(family, scale, tuple(panels), boundary_signs)
+    # the envelopes are continuous, so at a panel's start they take the
+    # values of the panel's own vertex sinusoids
+    boundary_signs = []
+    for p in panels:
+        diff = _dot(p.upper_vertex, p.start) - _dot(p.lower_vertex, p.start)
+        boundary_signs.append((diff > 0) - (diff < 0))
+    return TransversalProfile(family, scale, tuple(panels), tuple(boundary_signs))
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,16 @@ def test_subcomplex_must_live_in_parent():
         Subcomplex(ambient, frozenset({(5,)}))
 
 
+def test_subcomplex_errors_name_the_culprit():
+    ambient = build_complex([[0, 1, 2]])
+    with pytest.raises(ValidationError) as foreign:
+        Subcomplex(ambient, frozenset({(0,), (3,)}))
+    assert str(foreign.value) == "simplex [3] is not in the ambient complex"
+    with pytest.raises(ValidationError) as open_edge:
+        Subcomplex(ambient, frozenset({(0,), (0, 1)}))
+    assert str(open_edge.value) == "subcomplex is not closed under taking faces"
+
+
 def test_empty_family_rejected():
     ambient = build_complex([[0]])
     with pytest.raises(ContractViolation):

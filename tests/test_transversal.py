@@ -349,12 +349,27 @@ def _all_subsets(m):
     return [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
 
 
+def _feasibility_sign_at(scaled_polys, d) -> int:
+    """Sign of min_i max_v v.d - max_i min_v v.d at an exact direction."""
+    upper = min(max(v[0] * d[0] + v[1] * d[1] for v in verts) for verts in scaled_polys)
+    lower = max(min(v[0] * d[0] + v[1] * d[1] for v in verts) for verts in scaled_polys)
+    diff = upper - lower
+    return (diff > 0) - (diff < 0)
+
+
+def _assert_boundary_signs_match_oracle(prof):
+    _, polys = prof.family._int_data
+    for panel, sign in zip(prof.panels, prof.boundary_signs):
+        assert sign == _feasibility_sign_at(polys, panel.start), panel
+
+
 def _assert_kernel_matches_oracle(fam):
     subsets = _all_subsets(fam.size)
     counts = _subfamily_counts(fam, subsets)
     for subset, count in zip(subsets, counts):
-        oracle = components(transversal_profile(fam.subfamily(subset)))
-        assert count == oracle.component_count, subset
+        prof = transversal_profile(fam.subfamily(subset))
+        _assert_boundary_signs_match_oracle(prof)
+        assert count == components(prof).component_count, subset
     return counts
 
 
