@@ -4,7 +4,9 @@ The ambient space is a finite abstract simplicial complex; the regions of
 interest are face-closed subcomplexes of it.  Intersections and unions of
 subcomplexes are exact simplex-set operations, so every derived region is
 again a subcomplex of the same ambient complex and the polyhedral
-intersection coincides with the simplex-set intersection.
+intersection coincides with the simplex-set intersection.  A subcomplex
+holds its simplex set as an int bitmask over one cached index of its
+ambient, so these operations are ``&`` and ``|``.
 
 Simplices are stored as strictly increasing tuples of non-negative integer
 vertex ids; complexes compare by simplex-set equality.
@@ -15,7 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from .errors import ContractViolation, MalformedInput, ValidationError
 
@@ -59,6 +62,67 @@ def _is_face_closed(simplices) -> bool:
     return True
 
 
+# bytes.translate table turning a binary string into 0/1 selector bytes
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _select(items, mask):
+    """Iterator over items[i] for every set bit i of mask (bits past the
+    end of items are ignored)."""
+    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS))
+
+
+class _Index:
+    """A complex's simplices in (dimension, vertices) order; bit i of a
+    subcomplex mask stands for ``order[i]``, so vertices are bits 0..V-1.
+
+    ``dim_masks[k]`` holds the k-simplices, ``facets[i]`` the bits of
+    ``order[i]``'s codimension-1 faces, ``closures[i]`` those of all its
+    faces (itself included) and ``edges[j]`` the vertex bits of the edge
+    at bit V + j.
+    """
+
+    __slots__ = ("order", "bit", "dim_masks", "facets", "closures", "n_vertices", "edges")
+
+    def __init__(self, simplices):
+        self.order = tuple(sorted(simplices, key=lambda s: (len(s), s)))
+        self.bit = {s: i for i, s in enumerate(self.order)}
+        dim_masks = []
+        facets = []
+        closures = []
+        for i, s in enumerate(self.order):
+            if len(s) > len(dim_masks):
+                dim_masks.append(0)
+            dim_masks[-1] |= 1 << i
+            facet_mask = closure = 0
+            if len(s) > 1:
+                for j in range(len(s)):
+                    f = self.bit[s[:j] + s[j + 1:]]
+                    facet_mask |= 1 << f
+                    closure |= closures[f]
+            facets.append(facet_mask)
+            closures.append(closure | 1 << i)
+        self.dim_masks = tuple(dim_masks)
+        self.facets = tuple(facets)
+        self.closures = tuple(closures)
+        self.n_vertices = dim_masks[0].bit_count() if dim_masks else 0
+        self.edges = tuple(
+            (self.bit[s[:1]], self.bit[s[1:]]) for s in self.order if len(s) == 2
+        )
+
+    def count(self, mask: int, k: int) -> int:
+        """Number of k-simplices in mask."""
+        return (mask & self.dim_masks[k]).bit_count() if 0 <= k < len(self.dim_masks) else 0
+
+    def of_dim(self, mask: int, k: int) -> list:
+        """The k-simplices of mask, sorted."""
+        return list(_select(self.order, mask & self.dim_masks[k])) if 0 <= k < len(self.dim_masks) else []
+
+    def need(self, mask: int) -> int:
+        """OR of the facet masks of mask's simplices: the faces it must hold."""
+        return functools.reduce(operator.or_, _select(self.facets, mask), 0)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A finite simplicial complex plus a declared embedding dimension.
@@ -91,35 +155,55 @@ class SimplicialComplex:
         return max(map(len, self.simplices), default=0) - 1
 
     @functools.cached_property
-    def _facets(self) -> dict:
-        """Simplex -> its codimension-1 faces (none for a vertex)."""
-        return {
-            s: tuple(s[:i] + s[i + 1:] for i in range(len(s))) if len(s) > 1 else ()
-            for s in self.simplices
-        }
+    def _index(self) -> _Index:
+        return _Index(self.simplices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subcomplex:
-    """A face-closed subset of a parent complex's simplices."""
+    """A face-closed subset of a parent complex's simplices.
+
+    Held as ``mask``, a bitmask over the parent's simplex index; the
+    simplices are decoded from it on first use.  ``_need`` is the OR of
+    its simplices' facet masks, so it is face-closed iff
+    ``_need & ~mask == 0``, which every construction checks.
+    """
 
     parent: SimplicialComplex
-    member_simplices: frozenset
+    mask: int
+    _need: int = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.member_simplices, frozenset):
-            object.__setattr__(self, "member_simplices", frozenset(self.member_simplices))
-        members = self.member_simplices
-        # both checks as set operations; the loops below only name the culprit
-        if members <= self.parent.simplices and members.issuperset(
-            itertools.chain.from_iterable(map(self.parent._facets.__getitem__, members))
-        ):
-            return
+    def __init__(self, parent: SimplicialComplex, member_simplices):
+        members = frozenset(member_simplices)
+        index = parent._index
+        mask = need = 0
         for s in members:
-            if s not in self.parent.simplices:
+            i = index.bit.get(s)
+            if i is None:
                 raise ValidationError(f"simplex {list(s)} is not in the ambient complex")
-        if not _is_face_closed(members):
+            mask |= 1 << i
+            need |= index.facets[i]
+        self._set(parent, mask, need)
+        self.__dict__["member_simplices"] = members
+
+    @classmethod
+    def _from_mask(cls, parent: SimplicialComplex, mask: int, need: int = None) -> "Subcomplex":
+        """A subcomplex from its mask; ``need`` is computed from the set
+        bits unless the caller has it (the OR of its parts' for a union)."""
+        self = object.__new__(cls)
+        self._set(parent, mask, parent._index.need(mask) if need is None else need)
+        return self
+
+    def _set(self, parent, mask, need):
+        if need & ~mask:
             raise ValidationError("subcomplex is not closed under taking faces")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_need", need)
+
+    @functools.cached_property
+    def member_simplices(self) -> frozenset:
+        return frozenset(_select(self.parent._index.order, self.mask))
 
     @property
     def simplices(self) -> frozenset:
@@ -127,11 +211,11 @@ class Subcomplex:
 
     @functools.cached_property
     def dimension(self) -> int:
-        return max(map(len, self.member_simplices), default=0) - 1
+        return len(self.parent._index.order[self.mask.bit_length() - 1]) - 1 if self.mask else -1
 
     @property
     def is_empty(self) -> bool:
-        return not self.member_simplices
+        return not self.mask
 
 
 @dataclass(frozen=True)
@@ -191,15 +275,18 @@ def _check_indices(family: SubcomplexFamily, indices) -> list:
 def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
     """Simplex-set intersection of the selected members (face-closed by construction)."""
     idx = _check_indices(family, indices)
-    sets = [family.members[i].member_simplices for i in idx]
-    return Subcomplex(family.ambient, frozenset.intersection(*sets))
+    mask = functools.reduce(operator.and_, (family.members[i].mask for i in idx))
+    return Subcomplex._from_mask(family.ambient, mask)
 
 
 def union_members(family: SubcomplexFamily, indices) -> Subcomplex:
     """Simplex-set union of the selected members."""
     idx = _check_indices(family, indices)
-    sets = [family.members[i].member_simplices for i in idx]
-    return Subcomplex(family.ambient, frozenset.union(*sets))
+    mask = need = 0
+    for i in idx:
+        mask |= family.members[i].mask
+        need |= family.members[i]._need
+    return Subcomplex._from_mask(family.ambient, mask, need)
 
 
 def grid_complex(n: int) -> SimplicialComplex:

@@ -14,14 +14,14 @@ degrees below -1 or above the ambient dimension are recorded as vacuous.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .complex_core import (
     SubcomplexFamily,
     Subcomplex,
-    face_closure,
     grid_complex,
     intersect_members,
     union_members,
@@ -211,14 +211,14 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
     else:
         inter = intersect_members(family, range(m))
         if row.conclusion == "acyclic":
-            # is_n_acyclic(inter, dim), read off the one Betti vector
+            # nonempty with b_k = 0 for 0 <= k <= dim, read off one Betti vector
             betti = reduced_betti(inter, field)
             holds = betti.nonempty and all(betti.betti_at(k) == 0 for k in range(dim + 1))
             witness = {"kind": "intersection", "betti": betti.to_dict()}
         else:
             holds = not inter.is_empty
             witness = {"kind": "intersection", "nonempty": holds,
-                       "size": len(inter.member_simplices)}
+                       "size": inter.mask.bit_count()}
     return Verdict(theorem, field, ledger, ledger.all_satisfied, holds, witness)
 
 
@@ -249,20 +249,24 @@ def verify_breen(family: SubcomplexFamily, d: int, field: CoefficientField = GF2
 
 @lru_cache(maxsize=8)
 def _grid_setup(n):
+    """The grid ambient, its triangles' closure masks in sorted-triangle
+    order, and each triangle's edge neighbours as sorted positions in it."""
     ambient = grid_complex(n)
-    tris = sorted(s for s in ambient.simplices if len(s) == 3)
+    index = ambient._index
+    first = index.n_vertices + len(index.edges)  # vertex, edge, then triangle bits
+    tris = index.order[first:]
     edge_to_tris = {}
-    for t in tris:
+    for i, t in enumerate(tris):
         for e in itertools.combinations(t, 2):
-            edge_to_tris.setdefault(e, []).append(t)
-    adjacency = {}
-    for t in tris:
+            edge_to_tris.setdefault(e, []).append(i)
+    adjacency = []
+    for i, t in enumerate(tris):
         nbs = set()
         for e in itertools.combinations(t, 2):
             nbs.update(edge_to_tris[e])
-        nbs.discard(t)
-        adjacency[t] = sorted(nbs)
-    return ambient, tris, adjacency
+        nbs.discard(i)
+        adjacency.append(sorted(nbs))
+    return ambient, index.closures[first:], adjacency
 
 
 def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> SubcomplexFamily:
@@ -278,11 +282,14 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
         raise ContractViolation("m must be >= 1")
     if growth_steps < 0:
         raise ContractViolation("growth_steps must be >= 0")
-    ambient, tris, adjacency = _grid_setup(grid_n)
+    ambient, closures, adjacency = _grid_setup(grid_n)
     rng = random.Random(f"random-family:{grid_n}:{m}:{growth_steps}:{seed}")
     members = []
+    # triangles are positions in sorted order, so sorting positions orders
+    # them as sorting the triangle tuples would, and every draw matches
+    positions = range(len(closures))
     for _ in range(m):
-        start = rng.choice(tris)
+        start = rng.choice(positions)
         chosen = {start}
         frontier = set(adjacency[start])
         for _ in range(growth_steps):
@@ -294,7 +301,8 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
             for nb in adjacency[tri]:
                 if nb not in chosen:
                     frontier.add(nb)
-        members.append(Subcomplex(ambient, face_closure(chosen)))
+        mask = reduce(operator.or_, map(closures.__getitem__, chosen))
+        members.append(Subcomplex._from_mask(ambient, mask))
     labels = tuple(f"A{i + 1}" for i in range(m))
     return SubcomplexFamily(ambient, tuple(members), labels)
 

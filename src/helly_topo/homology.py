@@ -15,11 +15,11 @@ floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .complex_core import Subcomplex, _select
 from .errors import ContractViolation, InvariantViolation
 
 
@@ -211,30 +211,56 @@ def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
     return BettiVector(True, betti, field)
 
 
+def _indexed(cx):
+    """(ambient, mask) of a complex or subcomplex: the mask of a whole
+    complex has every bit of its own index set."""
+    if isinstance(cx, Subcomplex):
+        return cx.parent, cx.mask
+    return cx, (1 << len(cx.simplices)) - 1
+
+
 def betti_number(cx, k: int, field: CoefficientField = GF2) -> int:
     """Single reduced Betti number, with the degree -1 emptiness convention.
 
     Cheaper than the full vector: degree -1 is an emptiness test, degree 0
     a graph search, and b_k = n_k - rank d_k - rank d_{k+1} takes each rank
-    from `_rank` without elimination where linear algebra fixes it.
+    from `_rank` without elimination where linear algebra fixes it.  Counts
+    and edges come from the bitmask over the ambient's index.
     """
     if k < -1:
         return 0
-    nonempty = bool(cx.simplices)
+    ambient, mask = _indexed(cx)
     if k == -1:
-        return 0 if nonempty else 1
-    if not nonempty:
+        return 0 if mask else 1
+    if not mask:
         return 0
+    index = ambient._index
     if k == 0:
-        return _component_count(cx) - 1
-    counts = Counter(map(len, cx.simplices))  # vertex count -> simplices
-    if not counts[k + 1]:
+        return _components(index, mask) - 1
+    n_k = index.count(mask, k)
+    if not n_k:
         return 0
-    return counts[k + 1] - _rank(cx, counts, k, field) - _rank(cx, counts, k + 1, field)
+    return n_k - _rank(ambient, mask, k, field) - _rank(ambient, mask, k + 1, field)
 
 
-def _rank(cx, counts, k: int, field: CoefficientField) -> int:
-    """Rank of the boundary map from k-chains of cx, over either field.
+def _components(index, mask) -> int:
+    """Connected components of the mask's 1-skeleton: a union-find over the
+    vertex bits, joined along the mask's edges."""
+    root = list(range(index.n_vertices))
+    merges = 0
+    for u, v in _select(index.edges, mask >> index.n_vertices):
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[u] = v
+            merges += 1
+    return index.count(mask, 0) - merges
+
+
+def _rank(ambient, mask, k: int, field: CoefficientField) -> int:
+    """Rank of the boundary map from the k-chains of a mask, over either field.
 
     rank d_1 = V - c over every field, c the union-find component count.
     At the ambient's top dimension D, a subcomplex's D-cycles are D-cycles
@@ -242,18 +268,15 @@ def _rank(cx, counts, k: int, field: CoefficientField) -> int:
     rank d_D is the number of D-simplices.  Every other rank is eliminated;
     `reduced_betti` eliminates every rank and is the oracle for this path.
     """
-    if not counts[k + 1]:
+    index = ambient._index
+    n_k = index.count(mask, k)
+    if not n_k:
         return 0
     if k == 1:
-        return counts[1] - _component_count(cx)
-    ambient = getattr(cx, "parent", cx)
+        return index.count(mask, 0) - _components(index, mask)
     if k == ambient.dimension and _top_boundary_injective(ambient):
-        return counts[k + 1]
-    return _boundary_rank(_simplices_of_dim(cx, k - 1), _simplices_of_dim(cx, k), field)
-
-
-def _simplices_of_dim(cx, k: int) -> list:
-    return sorted(s for s in cx.simplices if len(s) == k + 1)
+        return n_k
+    return _boundary_rank(index.of_dim(mask, k - 1), index.of_dim(mask, k), field)
 
 
 @lru_cache(maxsize=8)
@@ -264,23 +287,9 @@ def _top_boundary_injective(ambient) -> bool:
     boundary mod 2 has an odd maximal minor, a nonzero integer.
     """
     top = ambient.dimension
-    uppers = _simplices_of_dim(ambient, top)
-    return _boundary_rank(_simplices_of_dim(ambient, top - 1), uppers, GF2) == len(uppers)
-
-
-def is_n_acyclic(cx, n: int, field: CoefficientField = GF2) -> bool:
-    """True iff the complex is nonempty and b_k = 0 for 0 <= k <= n.
-
-    For n = -1 this is exactly nonemptiness.
-    """
-    if n < -1:
-        raise ContractViolation("n must be >= -1")
-    if not cx.simplices:
-        return False
-    if n == -1:
-        return True
-    bv = reduced_betti(cx, field)
-    return all(bv.betti_at(k) == 0 for k in range(0, n + 1))
+    _, mask = _indexed(ambient)
+    uppers = ambient._index.of_dim(mask, top)
+    return _boundary_rank(ambient._index.of_dim(mask, top - 1), uppers, GF2) == len(uppers)
 
 
 @dataclass(frozen=True)
@@ -326,8 +335,6 @@ class MVReport:
 
 def mv_consistency(a, b, field: CoefficientField = GF2) -> MVReport:
     """Euler-characteristic and rank-bound consistency report for a pair."""
-    from .complex_core import Subcomplex
-
     if a.parent != b.parent:
         raise ContractViolation("subcomplexes must share an ambient complex")
     union = Subcomplex(a.parent, a.member_simplices | b.member_simplices)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import (
     ContractViolation,
     GenerationFailure,
@@ -184,14 +182,6 @@ class PolygonFamily:
             for poly in self.members
         )
         return scale, scaled
-
-
-def support_interval(polygon: ConvexPolygon, theta: float):
-    """Offsets p for which the line {x.(cos t, sin t) = p} meets the open
-    polygon: the open interval (low, high) of vertex projections."""
-    ux, uy = math.cos(theta), math.sin(theta)
-    dots = [float(x) * ux + float(y) * uy for x, y in polygon.vertices]
-    return min(dots), max(dots)
 
 
 def _argmax_vertex(verts, d):
@@ -568,6 +558,8 @@ def sample_oracle(family: PolygonFamily, resolution: int) -> ComponentSummary:
     only to validate the exact computation."""
     if resolution < 8:
         raise ContractViolation("resolution must be >= 8")
+    import numpy as np  # only this oracle needs numpy; keep it off the import path
+
     thetas = np.arange(resolution) * (math.pi / resolution)
     cs, sn = np.cos(thetas), np.sin(thetas)
     upper = None

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -8,6 +9,7 @@ from helly_topo.complex_core import (
     Subcomplex,
     build_complex,
     face_closure,
+    faces_of,
     grid_complex,
     intersect_members,
     parse_family,
@@ -213,3 +215,59 @@ def test_simplex_set_intersection_is_geometric():
     fam = make_family(ambient, [a, b])
     overlap = rect_subcomplex(ambient, 4, 2, 3, 0, 4)
     assert intersect_members(fam, {0, 1}).member_simplices == overlap.member_simplices
+
+
+def test_ambient_index_orders_by_dimension_then_vertices():
+    cx = build_complex([[3, 17, 40], [40, 90], [5]])
+    index = cx._index
+    assert list(index.order) == sorted(cx.simplices, key=lambda s: (len(s), s))
+    assert index.order[:index.n_vertices] == ((3,), (5,), (17,), (40,), (90,))
+
+    def decode(mask):
+        return {s for i, s in enumerate(index.order) if mask >> i & 1}
+
+    for i, s in enumerate(index.order):
+        assert index.bit[s] == i
+        assert decode(index.facets[i]) == {f for f in faces_of(s) if len(f) == len(s) - 1}
+        assert decode(index.closures[i]) == set(faces_of(s))
+    edges = [s for s in index.order if len(s) == 2]
+    assert list(index.edges) == [(index.bit[(u,)], index.bit[(v,)]) for u, v in edges]
+    for k in range(3):
+        assert decode(index.dim_masks[k]) == {s for s in cx.simplices if len(s) == k + 1}
+
+
+def test_mask_constructions_are_face_closure_checked():
+    ambient = build_complex([[0, 1, 2]])
+    bit = ambient._index.bit
+    for missing_face in ((0,), (0, 1)):
+        mask = sum(1 << bit[s] for s in face_closure([(0, 1, 2)]) if s != missing_face)
+        with pytest.raises(ValidationError) as err:
+            Subcomplex._from_mask(ambient, mask)
+        assert str(err.value) == "subcomplex is not closed under taking faces"
+    whole = sum(1 << i for i in bit.values())
+    assert Subcomplex._from_mask(ambient, whole) == Subcomplex(ambient, ambient.simplices)
+
+
+def test_mask_operations_match_decoded_subcomplexes():
+    # every & and | result equals the subcomplex validated from the
+    # simplex-set operation on its members' decoded simplices
+    for seed in range(60):
+        fam = random_family(8, 4, 20, seed=seed)
+        for member in fam.members:
+            # blobs are grown from triangles: the closure of those triangles
+            tris = [s for s in member.member_simplices if len(s) == 3]
+            assert member == Subcomplex(fam.ambient, face_closure(tris))
+        for j in range(1, 5):
+            for combo in itertools.combinations(range(4), j):
+                sets = [fam.members[i].member_simplices for i in combo]
+                for combine, expected in (
+                    (intersect_members, frozenset.intersection(*sets)),
+                    (union_members, frozenset.union(*sets)),
+                ):
+                    got = combine(fam, combo)
+                    rebuilt = Subcomplex(fam.ambient, expected)
+                    assert got.member_simplices == expected
+                    assert got == rebuilt and hash(got) == hash(rebuilt)
+                    assert got._need == rebuilt._need
+                    assert got.dimension == max(map(len, expected), default=0) - 1
+                    assert got.is_empty == (not expected)

@@ -1,16 +1,21 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helly_topo.complex_core import (
     Subcomplex,
+    as_simplex,
     build_complex,
     face_closure,
     grid_complex,
     intersect_members,
+    union_members,
 )
 from helly_topo.errors import ContractViolation
 from helly_topo.helly_engine import (
+    THEOREMS,
     random_family,
     run_verifier,
     sweep,
@@ -20,7 +25,7 @@ from helly_topo.helly_engine import (
     verify_sigma,
     verify_theorem_b,
 )
-from helly_topo.homology import GF2, reduced_betti
+from helly_topo.homology import GF2, RATIONALS, betti_number, reduced_betti
 
 from conftest import cells_subcomplex, make_family, rect_subcomplex
 
@@ -342,3 +347,34 @@ def test_sweep_histogram_keys():
     rep = sweep("sigma", 30, grid_n=8, m=3, growth_steps=20, seed=2)
     for j, degree, count in rep.failure_histogram:
         assert 1 <= j <= 3 and count >= 1
+
+
+def _relabelled_family(fam, label):
+    """The family's image under an injective map of vertex ids."""
+    def image(simplices):
+        return face_closure(as_simplex(label[v] for v in s) for s in simplices)
+
+    ambient = build_complex(image(fam.ambient.simplices), fam.ambient.declared_embedding_dim)
+    return make_family(ambient, [Subcomplex(ambient, image(m.member_simplices))
+                                 for m in fam.members])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    labels=st.lists(st.integers(0, 10 ** 6), min_size=36, max_size=36, unique=True),
+)
+def test_vertex_relabelling_keeps_betti_vectors_and_ledgers(seed, labels):
+    fam = random_family(5, 3, 12, seed)  # the 5x5 grid has vertices 0..35
+    image = _relabelled_family(fam, dict(enumerate(labels)))
+    for field in (GF2, RATIONALS):
+        for j in (1, 2, 3):
+            for combo in itertools.combinations(range(3), j):
+                for combine in (intersect_members, union_members):
+                    a, b = combine(fam, combo), combine(image, combo)
+                    assert reduced_betti(a, field) == reduced_betti(b, field)
+                    for k in range(-1, 3):
+                        assert betti_number(a, k, field) == betti_number(b, k, field)
+        for tag in THEOREMS:
+            assert run_verifier(tag, fam, field, d=2, lam=1).to_dict() == \
+                run_verifier(tag, image, field, d=2, lam=1).to_dict()

@@ -25,7 +25,6 @@ from helly_topo.homology import (
     _boundary_rank,
     _signed_boundary,
     _top_boundary_injective,
-    is_n_acyclic,
     mv_consistency,
     reduced_betti,
 )
@@ -85,6 +84,19 @@ def test_boundary_matrix_squares_to_zero():
         assert _boundary_rank(edges, tris, field) == 2
 
 
+def is_n_acyclic(cx, n: int, field=GF2) -> bool:
+    """True iff the complex is nonempty and b_k = 0 for 0 <= k <= n; for
+    n = -1 exactly nonemptiness.  The oracle for the helly conclusion."""
+    if n < -1:
+        raise ContractViolation("n must be >= -1")
+    if not cx.simplices:
+        return False
+    if n == -1:
+        return True
+    bv = reduced_betti(cx, field)
+    return all(bv.betti_at(k) == 0 for k in range(0, n + 1))
+
+
 def test_is_n_acyclic_cases():
     empty = build_complex([])
     assert is_n_acyclic(empty, -1) is False
@@ -138,13 +150,14 @@ def test_betti_number_matches_oracle_on_random_families():
 
 def _subcomplexes(cx):
     """The whole complex, its 1-skeleton, all but one triangle, and the
-    closed star of vertex 0."""
+    closed star of its smallest vertex."""
     tris = sorted(s for s in cx.simplices if len(s) == 3)
+    v0 = min(cx.simplices)[0]
     return [
         Subcomplex(cx, cx.simplices),
         Subcomplex(cx, frozenset(s for s in cx.simplices if len(s) <= 2)),
         Subcomplex(cx, face_closure(tris[1:])),
-        Subcomplex(cx, face_closure(t for t in tris if 0 in t)),
+        Subcomplex(cx, face_closure(t for t in tris if v0 in t)),
     ]
 
 
@@ -155,6 +168,31 @@ def test_betti_number_matches_oracle_on_known_spaces(name):
     if name in ("torus_7", "projective_plane_6", "annulus"):
         for sub in _subcomplexes(cx):
             _assert_betti_number_matches_oracle(sub)
+
+
+def _relabel(cx, label):
+    return build_complex([[label[v] for v in s] for s in cx.simplices],
+                         cx.declared_embedding_dim)
+
+
+def test_betti_number_matches_oracle_on_sparse_vertex_ids():
+    # vertex bits are positions in the sorted vertex list, not vertex ids
+    gappy = build_complex([[3, 17, 40], [17, 40, 41], [41, 90], [90, 3], [500]])
+    assert gappy.simplices >= {(3,), (17,), (40,), (500,)}
+    _assert_betti_number_matches_oracle(gappy)
+    for sub in _subcomplexes(gappy):
+        _assert_betti_number_matches_oracle(sub)
+    for name, (cx, _, _) in known_spaces().items():
+        verts = sorted(v for (v,) in (s for s in cx.simplices if len(s) == 1))
+        # an injective, order-reversing relabelling with large gaps
+        label = {v: 3 + 41 * (len(verts) - i) for i, v in enumerate(verts)}
+        sparse = _relabel(cx, label)
+        assert [reduced_betti(sparse, f).betti for f in (GF2, RATIONALS)] == \
+            [reduced_betti(cx, f).betti for f in (GF2, RATIONALS)], name
+        _assert_betti_number_matches_oracle(sparse)
+        if any(len(s) == 3 for s in sparse.simplices):
+            for sub in _subcomplexes(sparse):
+                _assert_betti_number_matches_oracle(sub)
 
 
 def test_projective_plane_minus_a_triangle_is_a_mobius_band():

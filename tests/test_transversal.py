@@ -21,7 +21,6 @@ from helly_topo.transversal_plane import (
     random_polygon_family,
     random_stabbed_family,
     sample_oracle,
-    support_interval,
     sweep_transversal,
     transversal_profile,
     verify_lemma_311_plane,
@@ -34,6 +33,15 @@ from conftest import square
 
 
 UNIT_SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+
+
+def support_interval(polygon: ConvexPolygon, theta: float):
+    """Offsets p for which the line {x.(cos t, sin t) = p} meets the open
+    polygon: the open interval (low, high) of vertex projections.  A float
+    oracle for the exact support sinusoids."""
+    ux, uy = math.cos(theta), math.sin(theta)
+    dots = [float(x) * ux + float(y) * uy for x, y in polygon.vertices]
+    return min(dots), max(dots)
 
 
 # --- polygons and support intervals ----------------------------------------
