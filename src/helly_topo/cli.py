@@ -39,7 +39,7 @@ EXIT_INTERNAL = 1
 EXIT_HYPOTHESES_FAILED = 2
 EXIT_VALIDATION = 3
 
-THEOREM_TAGS = sorted(engine.ENGINE_THEOREMS + tp.TRANSVERSAL_THEOREMS)
+THEOREM_TAGS = sorted([*engine.THEOREMS, *tp.TRANSVERSALS])
 
 
 def _envelope(command: str, params: dict, result: dict) -> dict:
@@ -142,36 +142,13 @@ def _cmd_verify(args) -> int:
         field = CoefficientField.from_tag(args.field)
         params.update(engine.theorem_params(tag, args.d, args.lam))
         verdict = engine.run_verifier(tag, family, field, d=args.d, lam=args.lam)
-        hyp, concl = verdict.hypotheses_hold, verdict.conclusion_holds
-        result = verdict.to_dict()
     else:
-        family = tp.load_polygon_family(args.infile)
-        if tag == "lemma-311":
-            if family.size != 1:
-                raise ValidationError("lemma-311 needs a family with exactly 1 member")
-            lv = tp.verify_lemma_311_plane(family.members[0])
-            hyp, concl, result = True, lv.passed, lv.to_dict()
-        elif tag == "lemma-312":
-            if family.size != 2:
-                raise ValidationError("lemma-312 needs a family with exactly 2 members")
-            lv = tp.verify_lemma_312_plane(family.members[0], family.members[1])
-            hyp, concl, result = True, lv.passed, lv.to_dict()
-        elif tag == "lemma-313":
-            if family.size != 3:
-                raise ValidationError(
-                    "lemma-313 needs a family with exactly 3 members "
-                    "(the first two form the disjoint pair)"
-                )
-            lv = tp.verify_lemma_313(family.members[0], family.members[1], family.members[2])
-            hyp, concl, result = True, lv.passed, lv.to_dict()
-        else:  # thm-321
-            verdict = tp.verify_theorem_321(family)
-            hyp, concl, result = verdict.hypotheses_hold, verdict.conclusion_holds, verdict.to_dict()
-    _emit(_envelope("verify", params, result), args.out)
-    if not hyp:
+        verdict = tp.verify_transversal(tag, tp.load_polygon_family(args.infile))
+    _emit(_envelope("verify", params, verdict.to_dict()), args.out)
+    if not verdict.hypotheses_hold:
         _say(f"{tag}: hypotheses not satisfied")
         return EXIT_HYPOTHESES_FAILED
-    if not concl:
+    if not verdict.conclusion_holds:
         _say(f"{tag}: THEOREM VIOLATION - hypotheses hold but the conclusion fails")
         return EXIT_INTERNAL
     _say(f"{tag}: hypotheses hold and the conclusion holds")
@@ -180,23 +157,21 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     tag = args.theorem
+    sizes = {} if args.m is None else {"m": args.m}
     if tag in engine.THEOREMS:
-        field = CoefficientField.from_tag(args.field)
-        m = args.m if args.m is not None else 4
         report = engine.sweep(
             tag,
             args.trials,
             grid_n=args.grid,
-            m=m,
             growth_steps=args.growth,
             seed=args.seed,
-            field=field,
+            field=CoefficientField.from_tag(args.field),
             d=args.d,
             lam=args.lam,
+            **sizes,
         )
     else:
-        m = args.m if args.m is not None else 6
-        report = tp.sweep_transversal(tag, args.trials, seed=args.seed, m=m)
+        report = tp.sweep_transversal(tag, args.trials, seed=args.seed, **sizes)
     data = report.to_dict()
     _emit(_envelope("sweep", {"theorem": tag}, data), args.out)
     counts = data["counts"]

@@ -149,7 +149,6 @@ THEOREMS = {
         "nonempty",
     ),
 }
-ENGINE_THEOREMS = tuple(THEOREMS)
 
 
 def _theorem(tag: str) -> Theorem:

@@ -59,13 +59,6 @@ class BettiVector:
             return 0 if self.nonempty else 1
         return self.betti.get(k, 0)
 
-    def reduced_euler(self) -> int:
-        """Alternating sum of b_k over k >= -1; the empty complex gives -1."""
-        total = -self.betti_at(-1)
-        for k, b in self.betti.items():
-            total += (-1) ** k * b
-        return total
-
     def to_dict(self) -> dict:
         return {
             "nonempty": self.nonempty,
@@ -290,64 +283,3 @@ def _top_boundary_injective(ambient) -> bool:
     _, mask = _indexed(ambient)
     uppers = ambient._index.of_dim(mask, top)
     return _boundary_rank(ambient._index.of_dim(mask, top - 1), uppers, GF2) == len(uppers)
-
-
-@dataclass(frozen=True)
-class MVReport:
-    """Exactness witnesses extracted from a pair of subcomplexes.
-
-    The reduced Euler characteristic satisfies
-    chi(A u B) = chi(A) + chi(B) - chi(A n B) exactly, and each degree obeys
-    the rank bound b_k(A u B) <= b_k(A) + b_k(B) + b_{k-1}(A n B).
-    """
-
-    betti_a: BettiVector
-    betti_b: BettiVector
-    betti_union: BettiVector
-    betti_intersection: BettiVector
-    euler_lhs: int
-    euler_rhs: int
-    rank_inequalities: tuple
-
-    @property
-    def euler_identity_holds(self) -> bool:
-        return self.euler_lhs == self.euler_rhs
-
-    @property
-    def all_rank_inequalities_hold(self) -> bool:
-        return all(ok for (_, _, _, ok) in self.rank_inequalities)
-
-    def to_dict(self) -> dict:
-        return {
-            "betti_a": self.betti_a.to_dict(),
-            "betti_b": self.betti_b.to_dict(),
-            "betti_union": self.betti_union.to_dict(),
-            "betti_intersection": self.betti_intersection.to_dict(),
-            "euler_lhs": self.euler_lhs,
-            "euler_rhs": self.euler_rhs,
-            "euler_identity_holds": self.euler_identity_holds,
-            "rank_inequalities": [
-                {"degree": k, "lhs": lhs, "rhs": rhs, "holds": ok}
-                for (k, lhs, rhs, ok) in self.rank_inequalities
-            ],
-        }
-
-
-def mv_consistency(a, b, field: CoefficientField = GF2) -> MVReport:
-    """Euler-characteristic and rank-bound consistency report for a pair."""
-    if a.parent != b.parent:
-        raise ContractViolation("subcomplexes must share an ambient complex")
-    union = Subcomplex(a.parent, a.member_simplices | b.member_simplices)
-    inter = Subcomplex(a.parent, a.member_simplices & b.member_simplices)
-    bv_a = reduced_betti(a, field)
-    bv_b = reduced_betti(b, field)
-    bv_u = reduced_betti(union, field)
-    bv_i = reduced_betti(inter, field)
-    lhs = bv_u.reduced_euler()
-    rhs = bv_a.reduced_euler() + bv_b.reduced_euler() - bv_i.reduced_euler()
-    inequalities = []
-    for k in range(0, max(union.dimension, 0) + 1):
-        left = bv_u.betti_at(k)
-        right = bv_a.betti_at(k) + bv_b.betti_at(k) + bv_i.betti_at(k - 1)
-        inequalities.append((k, left, right, left <= right))
-    return MVReport(bv_a, bv_b, bv_u, bv_i, lhs, rhs, tuple(inequalities))

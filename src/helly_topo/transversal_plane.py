@@ -39,6 +39,9 @@ from .helly_engine import SweepReport, tally_sweep
 
 TWO_PI = 2.0 * math.pi
 
+# random polygons have coordinates on the 1/_GRID lattice
+_GRID = 10 ** 4
+
 # feasible arcs or gaps narrower than this (radians) get a degeneracy flag:
 # a sampling oracle may misread the component count near such features
 NARROW_FEATURE_WIDTH = 1e-2
@@ -135,9 +138,6 @@ class ConvexPolygon:
                     "vertices must be strictly convex in counterclockwise order "
                     f"(violated at vertex {i + 1})"
                 )
-
-    def to_float_vertices(self):
-        return [(float(x), float(y)) for x, y in self.vertices]
 
 
 @dataclass(frozen=True)
@@ -558,33 +558,32 @@ def sample_oracle(family: PolygonFamily, resolution: int) -> ComponentSummary:
     only to validate the exact computation."""
     if resolution < 8:
         raise ContractViolation("resolution must be >= 8")
-    import numpy as np  # only this oracle needs numpy; keep it off the import path
-
-    thetas = np.arange(resolution) * (math.pi / resolution)
-    cs, sn = np.cos(thetas), np.sin(thetas)
-    upper = None
-    lower = None
+    step = math.pi / resolution
+    cs = [math.cos(i * step) for i in range(resolution)]
+    sn = [math.sin(i * step) for i in range(resolution)]
+    upper = [math.inf] * resolution
+    lower = [-math.inf] * resolution
     for poly in family.members:
-        verts = np.array(poly.to_float_vertices())
-        vals = verts[:, 0][:, None] * cs[None, :] + verts[:, 1][:, None] * sn[None, :]
-        hi = vals.max(axis=0)
-        lo = vals.min(axis=0)
-        upper = hi if upper is None else np.minimum(upper, hi)
-        lower = lo if lower is None else np.maximum(lower, lo)
-    feasible = upper > lower
+        # one row of support values per vertex, reduced column-wise
+        rows = [
+            [x * c + y * s for c, s in zip(cs, sn)]
+            for x, y in ((float(x), float(y)) for x, y in poly.vertices)
+        ]
+        upper = list(map(min, upper, map(max, *rows)))
+        lower = list(map(max, lower, map(min, *rows)))
+    feasible = [u > lo for u, lo in zip(upper, lower)]
 
-    if bool(feasible.all()):
+    if all(feasible):
         return ComponentSummary(1, True, ((0.0, math.pi),), (), math.pi, None,
                                 method="sampled", resolution=resolution)
-    if not bool(feasible.any()):
+    if not any(feasible):
         return ComponentSummary(0, False, (), (), None, math.pi,
                                 method="sampled", resolution=resolution)
 
     # cyclic run extraction over the quotient circle
-    start_at = int(np.argmin(feasible))
+    start_at = feasible.index(False)
     arcs = []
     current = None
-    step = math.pi / resolution
     for off in range(resolution):
         i = (start_at + off) % resolution
         if feasible[i]:
@@ -600,9 +599,9 @@ def sample_oracle(family: PolygonFamily, resolution: int) -> ComponentSummary:
         arcs.append(tuple(current))
     out = []
     for first, last in arcs:
-        a0 = thetas[first]
+        a0 = first * step
         width = ((last - first) % resolution + 1) * step
-        out.append((float(a0), float(a0 + width)))
+        out.append((a0, a0 + width))
     min_arc = min(e - s for s, e in out)
     return ComponentSummary(len(arcs), False, tuple(sorted(out)), (), min_arc, None,
                             method="sampled", resolution=resolution)
@@ -655,10 +654,19 @@ def disjointness_class(family: PolygonFamily) -> str:
 
 @dataclass(frozen=True)
 class LemmaVerdict:
+    """A lemma has no hypotheses beyond its input's shape, which the
+    verifier checks, so its conclusion is whether it passed."""
+
     lemma: str
     passed: bool
     expected: dict
     summary: ComponentSummary
+
+    hypotheses_hold = True
+
+    @property
+    def conclusion_holds(self) -> bool:
+        return self.passed
 
     def to_dict(self) -> dict:
         return {
@@ -792,7 +800,7 @@ def _convex_hull(points):
 
 
 def random_convex_polygon(rng: random.Random, center=(0.0, 0.0), radius: float = 1.0,
-                          n_points: int = 8, grid: int = 10 ** 4) -> ConvexPolygon:
+                          n_points: int = 8, grid: int = _GRID) -> ConvexPolygon:
     """Hull of random near-circle points, rounded to rational grid coordinates."""
     cx, cy = center
     for _ in range(64):
@@ -809,7 +817,14 @@ def random_convex_polygon(rng: random.Random, center=(0.0, 0.0), radius: float =
     raise GenerationFailure("could not build a non-degenerate polygon")
 
 
-def _placement_ok(existing, candidate_verts, scaled_existing, disjointness) -> bool:
+def _on_grid(poly: ConvexPolygon) -> tuple:
+    """Integer vertices of a `random_convex_polygon` output, scaled by its
+    default grid; interior overlap tests do not change under a common
+    positive scaling."""
+    return tuple((int(x * _GRID), int(y * _GRID)) for x, y in poly.vertices)
+
+
+def _placement_ok(candidate_verts, scaled_existing, disjointness) -> bool:
     if disjointness is None:
         return True
     overlaps = [
@@ -837,7 +852,7 @@ def random_polygon_family(m: int, box=(-8.0, 8.0, -8.0, 8.0), size_range=(0.5, 1
     rng = random.Random(
         f"polygon-family:{m}:{box}:{size_range}:{disjointness}:{seed}:{n_points_range}"
     )
-    members = []
+    members, scaled = [], []
     attempts = 0
     while len(members) < m:
         if attempts >= max_attempts:
@@ -851,11 +866,10 @@ def random_polygon_family(m: int, box=(-8.0, 8.0, -8.0, 8.0), size_range=(0.5, 1
         radius = rng.uniform(*size_range)
         n_points = rng.randint(*n_points_range)
         poly = random_convex_polygon(rng, (cx, cy), radius, n_points)
-        # rescale candidate and existing members to a common denominator
-        trial = PolygonFamily(tuple(members) + (poly,))
-        _, all_scaled = trial._int_data
-        if _placement_ok(members, all_scaled[-1], all_scaled[:-1], disjointness):
+        verts = _on_grid(poly)
+        if _placement_ok(verts, scaled, disjointness):
             members.append(poly)
+            scaled.append(verts)
     return PolygonFamily(tuple(members))
 
 
@@ -895,7 +909,7 @@ def random_stabbed_family(m: int, seed: int, jitter: float = 0.4,
     phi = rng.uniform(0.0, math.pi)
     ux, uy = math.cos(phi), math.sin(phi)
     px, py = -uy, ux
-    members = []
+    members, scaled = [], []
     for k in range(m):
         for attempt in range(60):
             along = (k - (m - 1) / 2.0) * spacing + rng.uniform(-0.25, 0.25) * spacing
@@ -903,10 +917,10 @@ def random_stabbed_family(m: int, seed: int, jitter: float = 0.4,
             center = (along * ux + off * px, along * uy + off * py)
             radius = size * rng.uniform(0.55, 1.0)
             poly = random_convex_polygon(rng, center, radius, rng.randint(*n_points_range))
-            trial = PolygonFamily(tuple(members) + (poly,))
-            _, all_scaled = trial._int_data
-            if _placement_ok(members, all_scaled[-1], all_scaled[:-1], "semipairwise_disjoint"):
+            verts = _on_grid(poly)
+            if _placement_ok(verts, scaled, "semipairwise_disjoint"):
                 members.append(poly)
+                scaled.append(verts)
                 break
         else:
             raise GenerationFailure(f"could not place member {k + 1} of a stabbed family")
@@ -959,35 +973,67 @@ def load_polygon_family(path) -> PolygonFamily:
 
 
 # ---------------------------------------------------------------------------
-# randomized sweeps
+# the transversal table and its two readers
 
-TRANSVERSAL_THEOREMS = ("lemma-311", "lemma-312", "lemma-313", "thm-321")
+def _sweep_polygon(rng, spread) -> ConvexPolygon:
+    center = (rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+    return random_convex_polygon(rng, center, rng.uniform(0.5, 2.0), rng.randint(3, 16))
+
+
+# tag -> ((member count, error text) or None, verify(family), draw(rng, trial_seed, m)).
+# A row without a member count checks the family's size itself, and its
+# sweep draws m members.  The lambdas look the verifiers and generators up
+# by module-global name at call time, so a rebinding of those names (as
+# by a tracer) is seen.
+TRANSVERSALS = {
+    "lemma-311": (
+        (1, "lemma-311 needs a family with exactly 1 member"),
+        lambda fam: verify_lemma_311_plane(*fam.members),
+        lambda rng, ts, m: PolygonFamily((_sweep_polygon(rng, 2),)),
+    ),
+    "lemma-312": (
+        (2, "lemma-312 needs a family with exactly 2 members"),
+        lambda fam: verify_lemma_312_plane(*fam.members),
+        lambda rng, ts, m: PolygonFamily(random_disjoint_pair(ts)),
+    ),
+    "lemma-313": (
+        (3, "lemma-313 needs a family with exactly 3 members "
+            "(the first two form the disjoint pair)"),
+        lambda fam: verify_lemma_313(*fam.members),
+        lambda rng, ts, m: PolygonFamily(random_disjoint_pair(ts) + (_sweep_polygon(rng, 6),)),
+    ),
+    "thm-321": (
+        None,
+        lambda fam: verify_theorem_321(fam),
+        lambda rng, ts, m: random_stabbed_family(m, ts, jitter=rng.uniform(0.05, 1.2)),
+    ),
+}
+
+
+def _transversal(tag: str) -> tuple:
+    if tag not in TRANSVERSALS:
+        raise ContractViolation(f"unknown theorem tag {tag!r}")
+    return TRANSVERSALS[tag]
+
+
+def verify_transversal(tag: str, family: PolygonFamily):
+    """Evaluate a TRANSVERSALS row on a family: a `LemmaVerdict` or a
+    `TransversalVerdict`, both with `hypotheses_hold`, `conclusion_holds`
+    and `to_dict()`."""
+    arity, verify, _ = _transversal(tag)
+    if arity is not None and family.size != arity[0]:
+        raise ValidationError(arity[1])
+    return verify(family)
 
 
 def sweep_transversal(theorem: str, trials: int, seed: int = 0, m: int = 6) -> SweepReport:
     """Randomized sweep over the transversal lemmas and the six-member
     transversal theorem; zero conclusion violations expected always."""
-    if theorem not in TRANSVERSAL_THEOREMS:
-        raise ContractViolation(f"unknown theorem tag {theorem!r}")
+    arity, verify, draw = _transversal(theorem)
 
     def trial(ts):
         rng = random.Random(f"transversal-sweep:{theorem}:{ts}")
-
-        def polygon(spread):
-            center = (rng.uniform(-spread, spread), rng.uniform(-spread, spread))
-            return random_convex_polygon(rng, center, rng.uniform(0.5, 2.0), rng.randint(3, 16))
-
-        if theorem == "lemma-311":
-            return True, verify_lemma_311_plane(polygon(2)).passed, ()
-        if theorem == "lemma-312":
-            a, b = random_disjoint_pair(ts)
-            return True, verify_lemma_312_plane(a, b).passed, ()
-        if theorem == "lemma-313":
-            a, b = random_disjoint_pair(ts)
-            return True, verify_lemma_313(a, b, polygon(6)).passed, ()
-        jitter = rng.uniform(0.05, 1.2)
-        verdict = verify_theorem_321(random_stabbed_family(m, ts, jitter=jitter))
+        verdict = verify(draw(rng, ts, m))
         return verdict.hypotheses_hold, verdict.conclusion_holds, ()
 
-    params = {"m": m} if theorem == "thm-321" else {}
-    return tally_sweep(theorem, trials, seed, params, trial)
+    return tally_sweep(theorem, trials, seed, {} if arity else {"m": m}, trial)

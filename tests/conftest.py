@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,6 +12,8 @@ from helly_topo.complex_core import (
     face_closure,
     grid_complex,
 )
+from helly_topo.errors import ContractViolation
+from helly_topo.homology import GF2, reduced_betti
 from helly_topo.transversal_plane import ConvexPolygon
 
 
@@ -66,6 +69,59 @@ def known_spaces():
             {0: 0, 1: 0, 2: 0},  # rationals
         ),
     }
+
+
+def reduced_euler(bv):
+    """Alternating sum of b_k over k >= -1 of a BettiVector; the empty
+    complex gives -1."""
+    return -bv.betti_at(-1) + sum((-1) ** k * b for k, b in bv.betti.items())
+
+
+@dataclass(frozen=True)
+class MVReport:
+    """Exactness witnesses extracted from a pair of subcomplexes.
+
+    The reduced Euler characteristic satisfies
+    chi(A u B) = chi(A) + chi(B) - chi(A n B) exactly, and each degree obeys
+    the rank bound b_k(A u B) <= b_k(A) + b_k(B) + b_{k-1}(A n B).
+    """
+
+    betti_a: object
+    betti_b: object
+    betti_union: object
+    betti_intersection: object
+    euler_lhs: int
+    euler_rhs: int
+    rank_inequalities: tuple
+
+    @property
+    def euler_identity_holds(self) -> bool:
+        return self.euler_lhs == self.euler_rhs
+
+    @property
+    def all_rank_inequalities_hold(self) -> bool:
+        return all(ok for (_, _, _, ok) in self.rank_inequalities)
+
+
+def mv_consistency(a, b, field=GF2) -> MVReport:
+    """Mayer-Vietoris oracle: Euler-characteristic and rank-bound
+    consistency of a pair of subcomplexes of one ambient."""
+    if a.parent != b.parent:
+        raise ContractViolation("subcomplexes must share an ambient complex")
+    union = Subcomplex(a.parent, a.member_simplices | b.member_simplices)
+    inter = Subcomplex(a.parent, a.member_simplices & b.member_simplices)
+    bv_a = reduced_betti(a, field)
+    bv_b = reduced_betti(b, field)
+    bv_u = reduced_betti(union, field)
+    bv_i = reduced_betti(inter, field)
+    lhs = reduced_euler(bv_u)
+    rhs = reduced_euler(bv_a) + reduced_euler(bv_b) - reduced_euler(bv_i)
+    inequalities = []
+    for k in range(0, max(union.dimension, 0) + 1):
+        left = bv_u.betti_at(k)
+        right = bv_a.betti_at(k) + bv_b.betti_at(k) + bv_i.betti_at(k - 1)
+        inequalities.append((k, left, right, left <= right))
+    return MVReport(bv_a, bv_b, bv_u, bv_i, lhs, rhs, tuple(inequalities))
 
 
 def cell_triangles(n, ix, iy):

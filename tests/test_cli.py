@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from helly_topo.cli import main
+from helly_topo.cli import THEOREM_TAGS, main
+from helly_topo.helly_engine import THEOREMS
+from helly_topo.transversal_plane import TRANSVERSALS
 
 
 @pytest.fixture
@@ -97,16 +99,6 @@ def test_verify_lemma_312(polygon_file, capsys):
     assert json.loads(out)["result"]["passed"] is True
 
 
-def test_verify_lemma_311_arity(polygon_file, capsys):
-    code, _ = run(["verify", "lemma-311", "--in", polygon_file], capsys)
-    assert code == 3  # needs exactly one member
-
-
-def test_verify_thm_321_needs_six(polygon_file, capsys):
-    code, _ = run(["verify", "thm-321", "--in", polygon_file], capsys)
-    assert code == 3
-
-
 def test_missing_input_file_exits_three(capsys):
     code, _ = run(["verify", "sigma", "--in", "/nonexistent/fam.json"], capsys)
     assert code == 3
@@ -197,3 +189,48 @@ def test_malformed_family_file_exits_three(tmp_path, capsys, change):
     path.write_text(json.dumps(data))
     code, _ = run(["homology", "--in", str(path), "--member", "A1"], capsys)
     assert code == 3
+
+
+def _polygon_file(tmp_path, corners):
+    """Side-2 squares with the given lower-left corners."""
+    data = {
+        "members": [
+            {"label": f"P{i + 1}", "vertices": [[x, y], [x + 2, y], [x + 2, y + 2], [x, y + 2]]}
+            for i, (x, y) in enumerate(corners)
+        ]
+    }
+    path = tmp_path / "polys.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "tag, corners, message",
+    [
+        ("lemma-311", [(0, 0), (5, 0)],
+         "lemma-311 needs a family with exactly 1 member"),
+        ("lemma-312", [(0, 0), (5, 0), (10, 0)],
+         "lemma-312 needs a family with exactly 2 members"),
+        ("lemma-313", [(0, 0), (5, 0)],
+         "lemma-313 needs a family with exactly 3 members "
+         "(the first two form the disjoint pair)"),
+        ("thm-321", [(5 * k, 0) for k in range(5)],
+         "the theorem needs a family of at least 6 members"),
+        ("lemma-312", [(0, 0), (1, 1)],
+         "pair is not separated: the interiors intersect"),
+    ],
+    ids=["311-two", "312-three", "313-two", "321-five", "312-overlapping"],
+)
+def test_verify_transversal_input_errors(tmp_path, capsys, tag, corners, message):
+    path = _polygon_file(tmp_path, corners)
+    code = main(["verify", tag, "--in", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_theorem_tags_partition_the_two_tables():
+    for tag in THEOREM_TAGS:
+        assert (tag in THEOREMS) != (tag in TRANSVERSALS), tag
+    assert sorted(THEOREM_TAGS) == sorted([*THEOREMS, *TRANSVERSALS])
