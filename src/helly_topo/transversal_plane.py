@@ -17,6 +17,13 @@ or feasibility root happens at a direction perpendicular to a difference of
 two vertices, and evaluating a sinusoid at such a rational direction keeps
 a common positive irrational factor that cancels from every comparison.
 Vertex coordinates are rationals, scaled once per family to integers.
+
+Every such direction comes from a merge walk over two polygons' outward
+normals, linear in their vertex counts: the directions where two members'
+support functions cross give the envelope panel stops, and the zeros of the
+support function of a pair's Minkowski difference give the pair's
+feasibility roots, from which the thm-321 kernel counts the components of
+every subfamily.
 """
 
 from __future__ import annotations
@@ -184,14 +191,80 @@ class PolygonFamily:
         return scale, scaled
 
 
-def _argmax_vertex(verts, d):
-    best = verts[0]
-    best_val = _dot(best, d)
-    for v in verts[1:]:
-        val = _dot(v, d)
-        if val > best_val:
-            best, best_val = v, val
-    return best
+def _walk_form(verts) -> tuple:
+    """A polygon as the merge walk reads it: the vertices from the lowest
+    (then leftmost) one on, so that the edge directions turn through one
+    full circle from angle 0, each edge vector, and each edge's primitive
+    outward normal.  Vertex k supports every direction in the closed arc
+    from normal k - 1 to normal k."""
+    start = min(range(len(verts)), key=lambda k: (verts[k][1], verts[k][0]))
+    verts = verts[start:] + verts[:start]
+    edges = tuple(
+        (wx - vx, wy - vy) for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1])
+    )
+    normals = tuple(_primitive(ey, -ex) for ex, ey in edges)
+    return verts, edges, normals
+
+
+def _walk_zeros(f_form, g_form, sign: int) -> list:
+    """Every direction t at which h_F(t) + sign * h_G(t) = 0, with h the
+    support function of the polygon of each walk form.
+
+    The walk merges the outward normals of F and G in circular order, as in
+    the linear-time Minkowski sum.  Between two consecutive merged normals p
+    and q the supporting vertices f and g are fixed, so the function is
+    x.t with x = f + sign * g.  An arc is narrower than pi, so x.t vanishes
+    on [p, q) at most at one of +-perp(x): at p, or strictly inside where
+    x.p and x.q have opposite signs.  If x = 0 the function vanishes on the
+    whole arc, and both its endpoints are zeros.  Every value is an integer.
+    """
+    out = []
+    fv, fe, fn = f_form
+    gv, ge, gn = g_form
+    nf, ng = len(fv), len(gv)
+    # the first arc opens at the later of the two last normals
+    p = gn[-1] if _cross(fe[-1], ge[-1]) >= 0 else fn[-1]
+    i = j = 0
+    while i < nf or j < ng:
+        f, g = fv[i % nf], gv[j % ng]
+        turn = 1 if j == ng else -1 if i == nf else _cross(fe[i], ge[j])
+        if turn >= 0:
+            q = fn[i]
+            i += 1
+            if turn == 0:
+                j += 1
+        else:
+            q = gn[j]
+            j += 1
+        x = (f[0] + sign * g[0], f[1] + sign * g[1])
+        at_p = x[0] * p[0] + x[1] * p[1]
+        if x == (0, 0):
+            out += (p, q)
+        elif at_p == 0:
+            out.append(p)
+        else:
+            at_q = x[0] * q[0] + x[1] * q[1]
+            if at_q != 0 and (at_p > 0) != (at_q > 0):
+                r = _primitive(-x[1], x[0])
+                out.append(r if _cross(p, r) > 0 else _neg(r))
+        p = q
+    return out
+
+
+def _climb(verts, k, dx, dy) -> tuple:
+    """Index and value of the maximum of v.d over a convex polygon's
+    vertices, walking counterclockwise from index k, which must lie on the
+    rising chain toward the maximum."""
+    n = len(verts)
+    x, y = verts[k]
+    val = x * dx + y * dy
+    while True:
+        j = k + 1 if k + 1 < n else 0
+        x, y = verts[j]
+        nxt = x * dx + y * dy
+        if nxt <= val:
+            return k, val
+        k, val = j, nxt
 
 
 # ---------------------------------------------------------------------------
@@ -244,71 +317,71 @@ class TransversalProfile:
 
 
 def transversal_profile(family: PolygonFamily) -> TransversalProfile:
-    """Exact piecewise structure of the transversal envelopes of a family."""
-    scale, polys = family._int_data
-    m = len(polys)
+    """Exact piecewise structure of the transversal envelopes of a family.
 
-    # base events: argmax/argmin transitions of every member, i.e. the
-    # outward edge normals and their negations
+    The panel stops are the base events (every member's argmax/argmin
+    transitions, i.e. the outward edge normals and their negations) and
+    every direction where two members' max supports cross, or their min
+    supports do.  The max supports of members a and b cross on Z_h, the
+    zeros of h_a - h_b, and the min supports on -Z_h.  Between two stops
+    every member's argmax and argmin vertex is fixed, so each envelope is
+    one vertex sinusoid.
+    """
+    scale, polys = family._int_data
+    forms = [_walk_form(verts) for verts in polys]
+
     events = set()
-    for verts in polys:
-        n = len(verts)
-        for i in range(n):
-            vx, vy = verts[i]
-            wx, wy = verts[(i + 1) % n]
-            normal = _primitive(wy - vy, -(wx - vx))
-            events.add(normal)
-            events.add(_neg(normal))
-    order = _sort_directions(events)
+    for _, _, normals in forms:
+        events.update(normals)
+        events.update(_neg(d) for d in normals)
+    crossings = set()
+    for form_a, form_b in itertools.combinations(forms, 2):
+        crossings.update(_walk_zeros(form_a, form_b, -1))
+    stops = _sort_directions(events | crossings | {_neg(d) for d in crossings})
+    # the panel list opens at the first base event from (1, 0) on
+    first = next(k for k, d in enumerate(stops) if d in events)
+    stops = stops[first:] + stops[:first]
+
+    # every member's argmax and argmin vertex index, each the argmax of
+    # v.d for d = t or -t: on a convex polygon both only advance
+    # counterclockwise as t does, and t never sits on a normal
+    tx, ty = stops[0][0] + stops[1][0], stops[0][1] + stops[1][1]
+    up_at = [max(range(len(v)), key=lambda k: v[k][0] * tx + v[k][1] * ty) for v in polys]
+    lo_at = [min(range(len(v)), key=lambda k: v[k][0] * tx + v[k][1] * ty) for v in polys]
 
     panels = []
-    n_events = len(order)
-    for idx in range(n_events):
-        p = order[idx]
-        q = order[(idx + 1) % n_events]
-        t = (p[0] + q[0], p[1] + q[1])
-        # per-member dominating vertices are constant on the whole base panel
-        ups = [_argmax_vertex(verts, t) for verts in polys]
-        los = [_argmax_vertex(verts, _neg(t)) for verts in polys]
+    n_stops = len(stops)
+    for idx in range(n_stops):
+        s0 = stops[idx]
+        s1 = stops[(idx + 1) % n_stops]
+        tx, ty = s0[0] + s1[0], s0[1] + s1[1]
+        # the upper envelope is the least max support and the lower the
+        # greatest min support, the first such member on ties
+        u_member = l_member = None
+        for i, verts in enumerate(polys):
+            up_at[i], hi = _climb(verts, up_at[i], tx, ty)
+            lo_at[i], neg_lo = _climb(verts, lo_at[i], -tx, -ty)
+            if u_member is None or hi < least_hi:
+                u_member, least_hi = i, hi
+            if l_member is None or neg_lo < least_neg_lo:
+                l_member, least_neg_lo = i, neg_lo
+        vu = polys[u_member][up_at[u_member]]
+        vl = polys[l_member][lo_at[l_member]]
+        w = (vu[0] - vl[0], vu[1] - vl[1])
 
-        # stage 1: split where the envelope can switch members
-        cuts = set()
-        for group in (ups, los):
-            for a in range(m):
-                for b in range(a + 1, m):
-                    w = (group[a][0] - group[b][0], group[a][1] - group[b][1])
-                    if w == (0, 0):
-                        continue
-                    r = _primitive(-w[1], w[0])
-                    for cand in (r, _neg(r)):
-                        if _strictly_inside(p, q, cand):
-                            cuts.add(cand)
-        inner = sorted(cuts, key=functools.cmp_to_key(lambda r1, r2: -_cross(r1, r2)))
-        stops = [p] + inner + [q]
-
-        for s0, s1 in zip(stops, stops[1:]):
-            t2 = (s0[0] + s1[0], s0[1] + s1[1])
-            u_member = min(range(m), key=lambda i: (_dot(ups[i], t2), i))
-            l_member = max(range(m), key=lambda i: (_dot(los[i], t2), -i))
-            vu = ups[u_member]
-            vl = los[l_member]
-            w = (vu[0] - vl[0], vu[1] - vl[1])
-
-            # stage 2: split at the feasibility root, if it falls inside
-            pieces = [(s0, s1)]
-            if w != (0, 0):
-                r = _primitive(-w[1], w[0])
-                for root in (r, _neg(r)):
-                    if _strictly_inside(s0, s1, root):
-                        pieces = [(s0, root), (root, s1)]
-                        break
-            for a0, a1 in pieces:
-                t3 = (a0[0] + a1[0], a0[1] + a1[1])
-                diff = _dot(w, t3)
-                sign = (diff > 0) - (diff < 0)
-                panels.append(
-                    Panel(a0, a1, u_member, vu, l_member, vl, sign)
-                )
+        # split at the feasibility root, if it falls inside
+        pieces = [(s0, s1)]
+        if w != (0, 0):
+            r = _primitive(-w[1], w[0])
+            for root in (r, _neg(r)):
+                if _strictly_inside(s0, s1, root):
+                    pieces = [(s0, root), (root, s1)]
+                    break
+        for a0, a1 in pieces:
+            t3 = (a0[0] + a1[0], a0[1] + a1[1])
+            diff = _dot(w, t3)
+            sign = (diff > 0) - (diff < 0)
+            panels.append(Panel(a0, a1, u_member, vu, l_member, vl, sign))
 
     # the envelopes are continuous, so at a panel's start they take the
     # values of the panel's own vertex sinusoids
@@ -483,34 +556,31 @@ def components(profile: TransversalProfile) -> ComponentSummary:
     )
 
 
-def _subfamily_counts(family: PolygonFamily, subsets) -> list:
-    """Exact quotient component counts of the transversal spaces of many
-    subfamilies of one family (each an index tuple), from pair arcs alone.
+def _pair_masks(family: PolygonFamily) -> tuple:
+    """The pair-arc kernel: every pair's feasible direction set as a bitset
+    over one common cut of the circle, returned as (full, {(i, j): mask}).
 
-    At a fixed direction the offsets that meet a member form an open
-    interval, and open intervals on a line share a point iff every two of
-    them do (Helly's theorem on the line): a subfamily's feasible direction
-    set is the intersection of its pairs' sets.  Every boundary direction of
-    a pair's set is a zero-sign panel start of the pair's profile.  Those
-    roots and the four axes cut the circle into point elements and open
-    gaps on which every pair's feasibility is constant; a pair's set is a
-    bitset over the elements, and a subfamily's is the AND of its pairs'.
-    ``components(transversal_profile(...))`` is the oracle for this count.
+    Pair (i, j) is feasible at t iff h_K(t) > 0 and h_K(-t) > 0, where
+    h_K = max_i - min_j is the support function of the Minkowski
+    difference K = P_i - P_j.  The zeros Z of h_K come from one merge walk
+    over the normals of P_i and -P_j, so the pair's boundary directions lie
+    in Z and -Z.  Those roots and the four axes cut the circle into point
+    elements and open gaps on which every pair's feasibility is constant;
+    bit e of a pair's mask says whether element e is feasible, and ``full``
+    has every element's bit set.
     """
     _, polys = family._int_data
     m = len(polys)
     pairs = list(itertools.combinations(range(m), 2))
 
-    # pair roots are primitive directions, so they do not depend on the scale
-    roots = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    for pair in pairs:
-        prof = transversal_profile(family.subfamily(pair))
-        roots.extend(
-            panel.start
-            for panel, sign in zip(prof.panels, prof.boundary_signs)
-            if sign == 0
-        )
-    roots = _sort_directions(roots)
+    forms = [_walk_form(verts) for verts in polys]
+    negated = [_walk_form(tuple((-x, -y) for x, y in verts)) for verts in polys]
+    zeros = set()
+    for i, j in pairs:
+        zeros.update(_walk_zeros(forms[i], negated[j], 1))
+    roots = _sort_directions(
+        {(1, 0), (0, 1), (-1, 0), (0, -1)} | zeros | {_neg(d) for d in zeros}
+    )
 
     # each root, then the open gap after it: the axes keep every gap under
     # pi/2, so the sum of its endpoints lies strictly inside it
@@ -520,7 +590,6 @@ def _subfamily_counts(family: PolygonFamily, subsets) -> list:
         elements.append(p)
         elements.append((p[0] + q[0], p[1] + q[1]))
     n = len(elements)
-    full = (1 << n) - 1
 
     his, los = [], []
     for verts in polys:
@@ -534,7 +603,23 @@ def _subfamily_counts(family: PolygonFamily, subsets) -> list:
         pair_masks[(i, j)] = sum(
             1 << e for e in range(n) if hi_i[e] > lo_j[e] and hi_j[e] > lo_i[e]
         )
+    return (1 << n) - 1, pair_masks
 
+
+def _subfamily_counts(kernel: tuple, subsets) -> list:
+    """Exact quotient component counts of the transversal spaces of many
+    subfamilies of one family (each an index tuple), from the pair masks
+    ``kernel`` = `_pair_masks(family)`.
+
+    At a fixed direction the offsets that meet a member form an open
+    interval, and open intervals on a line share a point iff every two of
+    them do (Helly's theorem on the line): a subfamily's feasible direction
+    set is the intersection of its pairs' sets, so its bitset is the AND of
+    its pairs' masks.  ``components(transversal_profile(...))`` is the
+    oracle for this count.
+    """
+    full, pair_masks = kernel
+    n = full.bit_length()
     counts = []
     for subset in subsets:
         mask = full
@@ -733,16 +818,24 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
         raise ContractViolation("the theorem needs a family of at least 6 members")
     checks = []
     cls = disjointness_class(family)
+    semipairwise = cls in ("pairwise_disjoint", "semipairwise_disjoint")
     checks.append(
-        (
-            ("check", "semipairwise_disjoint"),
-            ("observed", cls),
-            ("pass", cls in ("pairwise_disjoint", "semipairwise_disjoint")),
-        )
+        (("check", "semipairwise_disjoint"), ("observed", cls), ("pass", semipairwise))
     )
     combos5 = list(itertools.combinations(range(m), 5))
     combos4 = list(itertools.combinations(range(m), 4))
-    counts = _subfamily_counts(family, combos5 + combos4)
+    kernel = _pair_masks(family)
+    counts = _subfamily_counts(kernel, combos5 + combos4)
+    if semipairwise:
+        # lemma-313: a disjoint pair in every triple keeps its space off
+        # the full circle
+        full, pair_masks = kernel
+        for i, j, k in itertools.combinations(range(m), 3):
+            if pair_masks[(i, j)] & pair_masks[(i, k)] & pair_masks[(j, k)] == full:
+                raise InvariantViolation(
+                    f"triple {[i, j, k]} of a semipairwise-disjoint family "
+                    "has the full circle of transversal directions"
+                )
     for combo, count in zip(combos5, counts):
         checks.append(
             (
@@ -810,10 +903,11 @@ def random_convex_polygon(rng: random.Random, center=(0.0, 0.0), radius: float =
             rr = radius * (0.72 + 0.28 * rng.random())
             x = cx + rr * math.cos(ang)
             y = cy + rr * math.sin(ang)
-            pts.append((Fraction(round(x * grid), grid), Fraction(round(y * grid), grid)))
+            pts.append((round(x * grid), round(y * grid)))
+        # on one grid the integer numerators order and turn as the rationals do
         hull = _convex_hull(pts)
         if len(hull) >= 3:
-            return ConvexPolygon(tuple(hull))
+            return ConvexPolygon(tuple((Fraction(a, grid), Fraction(b, grid)) for a, b in hull))
     raise GenerationFailure("could not build a non-degenerate polygon")
 
 

@@ -1,6 +1,5 @@
 """Shared builders for the test suite."""
 
-import itertools
 from dataclasses import dataclass
 
 import pytest

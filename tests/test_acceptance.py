@@ -5,19 +5,15 @@ lines and counts.  Randomized criteria use fixed seeds, so every run is
 reproducible.
 """
 
-import itertools
 import json
 import math
 import time
 
 import pytest
 
-from helly_topo.complex_core import grid_complex
-from helly_topo.errors import GenerationFailure
 from helly_topo.helly_engine import random_family, sweep, verify_breen, verify_sigma
 from helly_topo.homology import GF2, RATIONALS, reduced_betti
 from helly_topo.transversal_plane import (
-    PolygonFamily,
     components,
     random_convex_polygon,
     random_disjoint_pair,

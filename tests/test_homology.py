@@ -29,7 +29,7 @@ from helly_topo.homology import (
 )
 from helly_topo.helly_engine import random_family
 
-from conftest import known_spaces, make_family, mv_consistency, reduced_euler
+from conftest import known_spaces, mv_consistency, reduced_euler
 
 
 @pytest.mark.parametrize("name", list(known_spaces()))

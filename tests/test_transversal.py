@@ -1,19 +1,37 @@
+import functools
 import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helly_topo.cli import main
-from helly_topo.errors import ContractViolation, GenerationFailure, ValidationError
+from helly_topo import transversal_plane
+from helly_topo.errors import (
+    ContractViolation,
+    GenerationFailure,
+    InvariantViolation,
+    ValidationError,
+)
 from helly_topo.transversal_plane import (
+    _cross,
+    _dir_cmp,
+    _pair_masks,
+    _primitive,
+    _strictly_inside,
     _subfamily_counts,
+    _walk_form,
+    _walk_zeros,
     ConvexPolygon,
+    Panel,
     PolygonFamily,
+    TransversalProfile,
     components,
     disjointness_class,
+    load_polygon_family,
     parse_polygon_family,
     polygons_disjoint,
     random_convex_polygon,
@@ -371,14 +389,103 @@ def _assert_boundary_signs_match_oracle(prof):
         assert sign == _feasibility_sign_at(polys, panel.start), panel
 
 
+def _reference_profile(family):
+    """The envelope sweep cut base panel by base panel: between two
+    consecutive base events (edge normals and their negations) every
+    member's argmax and argmin vertex is fixed, so the envelopes can switch
+    members only where two of those vertices' sinusoids cross, and every
+    such crossing inside the base panel cuts it."""
+    scale, polys = family._int_data
+    m = len(polys)
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+
+    def neg(d):
+        return (-d[0], -d[1])
+
+    def argmax(verts, d):
+        return max(verts, key=lambda v: dot(v, d))
+
+    events = set()
+    for verts in polys:
+        for v, w in zip(verts, verts[1:] + verts[:1]):
+            normal = _primitive(w[1] - v[1], v[0] - w[0])
+            events.update((normal, neg(normal)))
+    order = sorted(events, key=functools.cmp_to_key(_dir_cmp))
+
+    panels = []
+    for idx, p in enumerate(order):
+        q = order[(idx + 1) % len(order)]
+        t = (p[0] + q[0], p[1] + q[1])
+        ups = [argmax(verts, t) for verts in polys]
+        los = [argmax(verts, neg(t)) for verts in polys]
+        cuts = set()
+        for group in (ups, los):
+            for a, b in itertools.combinations(group, 2):
+                if a != b:
+                    r = _primitive(b[1] - a[1], a[0] - b[0])
+                    cuts.update(c for c in (r, neg(r)) if _strictly_inside(p, q, c))
+        inner = sorted(cuts, key=functools.cmp_to_key(lambda r1, r2: -_cross(r1, r2)))
+        stops = [p] + inner + [q]
+        for s0, s1 in zip(stops, stops[1:]):
+            t2 = (s0[0] + s1[0], s0[1] + s1[1])
+            u_member = min(range(m), key=lambda i: (dot(ups[i], t2), i))
+            l_member = max(range(m), key=lambda i: (dot(los[i], t2), -i))
+            vu, vl = ups[u_member], los[l_member]
+            w = (vu[0] - vl[0], vu[1] - vl[1])
+            pieces = [(s0, s1)]
+            if w != (0, 0):
+                r = _primitive(-w[1], w[0])
+                for root in (r, neg(r)):
+                    if _strictly_inside(s0, s1, root):
+                        pieces = [(s0, root), (root, s1)]
+                        break
+            for a0, a1 in pieces:
+                diff = dot(w, (a0[0] + a1[0], a0[1] + a1[1]))
+                panels.append(
+                    Panel(a0, a1, u_member, vu, l_member, vl, (diff > 0) - (diff < 0))
+                )
+    signs = []
+    for panel in panels:
+        diff = dot(panel.upper_vertex, panel.start) - dot(panel.lower_vertex, panel.start)
+        signs.append((diff > 0) - (diff < 0))
+    return TransversalProfile(family, scale, tuple(panels), tuple(signs))
+
+
 def _assert_kernel_matches_oracle(fam):
     subsets = _all_subsets(fam.size)
-    counts = _subfamily_counts(fam, subsets)
+    counts = _subfamily_counts(_pair_masks(fam), subsets)
     for subset, count in zip(subsets, counts):
-        prof = transversal_profile(fam.subfamily(subset))
+        sub = fam.subfamily(subset)
+        prof = transversal_profile(sub)
+        assert prof == _reference_profile(sub), subset
         _assert_boundary_signs_match_oracle(prof)
         assert count == components(prof).component_count, subset
+    _assert_pair_roots_are_exact(fam)
     return counts
+
+
+def _assert_pair_roots_are_exact(fam):
+    """The Minkowski-difference walk gives each pair's roots exactly: every
+    root makes the pair's envelopes meet, and every zero-sign panel start
+    of the pair's profile that bounds its zero set (a neighbouring panel
+    has a nonzero sign) is a root.  Every max-support crossing from the
+    same walk over the two polygons makes their max supports equal."""
+    _, polys = fam._int_data
+    for i, j in itertools.combinations(range(fam.size), 2):
+        a, b = polys[i], polys[j]
+        zeros = _walk_zeros(_walk_form(a), _walk_form(tuple((-x, -y) for x, y in b)), 1)
+        roots = set(zeros) | {(-x, -y) for x, y in zeros}
+        for d in roots:
+            assert _feasibility_sign_at((a, b), d) == 0, d
+        prof = transversal_profile(fam.subfamily((i, j)))
+        for k, (panel, sign) in enumerate(zip(prof.panels, prof.boundary_signs)):
+            if sign == 0 and (panel.feasible_sign or prof.panels[k - 1].feasible_sign):
+                assert panel.start in roots, panel
+        for d in _walk_zeros(_walk_form(a), _walk_form(b), -1):
+            assert max(v[0] * d[0] + v[1] * d[1] for v in a) == \
+                max(v[0] * d[0] + v[1] * d[1] for v in b), d
 
 
 @pytest.mark.parametrize("m", [6, 7, 8])
@@ -400,7 +507,8 @@ def test_subfamily_counts_match_profile_on_random_families():
     ((square(0, 0), square(1, 0)), "tangent_direction", 1),
     ((square(0, 0), square(1, 1)), "coincident_support_arc", 1),
     (PUNCTURED_TRIPLE.members, "tangent_direction", 2),
-], ids=["overlapping-pair", "edge-touching", "corner-touching", "puncture"])
+    ((square(0, 0), square(0, 0)), None, 1),  # duplicate: full circle
+], ids=["overlapping-pair", "edge-touching", "corner-touching", "puncture", "duplicate"])
 def test_subfamily_counts_match_profile_on_edge_cases(members, kind, count):
     fam = PolygonFamily(members)
     whole = components(transversal_profile(fam))
@@ -409,6 +517,39 @@ def test_subfamily_counts_match_profile_on_edge_cases(members, kind, count):
     if kind is not None:
         assert kind in {dict(f)["kind"] for f in whole.flags}
     assert _assert_kernel_matches_oracle(fam)[-1] == count
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+
+
+@pytest.mark.parametrize("name", ["poly1.json", "poly2.json", "poly3.json", "poly6.json"])
+def test_profile_matches_reference_on_corpus_files(name):
+    fam = load_polygon_family(CORPUS / name)
+    assert transversal_profile(fam) == _reference_profile(fam)
+    _assert_pair_roots_are_exact(fam)
+
+
+def test_triple_audit_fires_on_a_full_disjoint_pair(monkeypatch):
+    # P1 overlaps P2 and P3, which are disjoint, so P2-P3 is the triple's
+    # disjoint pair; a kernel that gives that pair the full circle gives
+    # the triple the full circle, which lemma-313 rules out
+    bar = ConvexPolygon(((-3, -1), (3, -1), (3, 1), (-3, 1)))
+    fam = PolygonFamily(
+        (bar, square(-2, 0), square(2, 0), square(0, 20), square(0, 40), square(0, 60))
+    )
+    assert disjointness_class(fam) == "semipairwise_disjoint"
+    verify_theorem_321(fam)
+
+    kernel = transversal_plane._pair_masks
+
+    def mutant(family):
+        full, masks = kernel(family)
+        assert masks[(1, 2)] != full
+        return full, {**masks, (1, 2): full}
+
+    monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
+    with pytest.raises(InvariantViolation, match="triple"):
+        verify_theorem_321(fam)
 
 
 def _affine_image(fam, shear, turns, shift):
@@ -440,7 +581,8 @@ def test_affine_maps_preserve_counts(seed, jitter, shear, turns, shift):
     fam = random_stabbed_family(6, seed, jitter=jitter)
     image = _affine_image(fam, shear, turns, shift)
     subsets = _all_subsets(fam.size)
-    assert _subfamily_counts(image, subsets) == _subfamily_counts(fam, subsets)
+    assert _subfamily_counts(_pair_masks(image), subsets) == \
+        _subfamily_counts(_pair_masks(fam), subsets)
     before, after = verify_theorem_321(fam), verify_theorem_321(image)
     assert after.checks == before.checks
     assert after.conclusion_holds == before.conclusion_holds
