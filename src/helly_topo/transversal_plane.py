@@ -22,8 +22,10 @@ Every such direction comes from a merge walk over two polygons' outward
 normals, linear in their vertex counts: the directions where two members'
 support functions cross give the envelope panel stops, and the zeros of the
 support function of a pair's Minkowski difference give the pair's
-feasibility roots, from which the thm-321 kernel counts the components of
-every subfamily.
+feasibility roots.  From those roots alone the thm-321 kernel counts the
+components of every subfamily, the whole family included, so a thm-321
+sweep builds no envelope profile; a verdict builds the whole family's
+profile only when its witness is read, and checks it against the kernel.
 """
 
 from __future__ import annotations
@@ -124,6 +126,23 @@ def _angle(d) -> float:
 # ---------------------------------------------------------------------------
 # polygons
 
+def _denominator(verts) -> int:
+    """The least common denominator of rational vertices' coordinates."""
+    den = 1
+    for x, y in verts:
+        den = lcm(den, x.denominator, y.denominator)
+    return den
+
+
+def _scaled(verts, scale: int) -> tuple:
+    """Rational vertices times ``scale``, a common multiple of their
+    denominators, as integer pairs."""
+    return tuple(
+        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for x, y in verts
+    )
+
+
 @dataclass(frozen=True)
 class ConvexPolygon:
     """An open bounded convex region, stored as a strictly convex CCW vertex
@@ -137,10 +156,12 @@ class ConvexPolygon:
         n = len(verts)
         if n < 3:
             raise ValidationError("a polygon needs at least 3 vertices")
+        # turns of the numerators over one common denominator have the
+        # signs of the rational turns
+        pts = _scaled(verts, _denominator(verts))
         for i in range(n):
-            a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            turn = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if turn <= 0:
+            (ax, ay), (bx, by), (cx, cy) = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+            if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) <= 0:
                 raise ValidationError(
                     "vertices must be strictly convex in counterclockwise order "
                     f"(violated at vertex {i + 1})"
@@ -180,14 +201,8 @@ class PolygonFamily:
     @functools.cached_property
     def _int_data(self):
         """Common denominator scale and all-integer vertex lists."""
-        denoms = [
-            coord.denominator for poly in self.members for v in poly.vertices for coord in v
-        ]
-        scale = lcm(*denoms) if denoms else 1
-        scaled = tuple(
-            tuple((int(x * scale), int(y * scale)) for x, y in poly.vertices)
-            for poly in self.members
-        )
+        scale = _denominator(v for poly in self.members for v in poly.vertices)
+        scaled = tuple(_scaled(poly.vertices, scale) for poly in self.members)
         return scale, scaled
 
 
@@ -563,47 +578,57 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     Pair (i, j) is feasible at t iff h_K(t) > 0 and h_K(-t) > 0, where
     h_K = max_i - min_j is the support function of the Minkowski
     difference K = P_i - P_j.  The zeros Z of h_K come from one merge walk
-    over the normals of P_i and -P_j, so the pair's boundary directions lie
-    in Z and -Z.  Those roots and the four axes cut the circle into point
-    elements and open gaps on which every pair's feasibility is constant;
-    bit e of a pair's mask says whether element e is feasible, and ``full``
-    has every element's bit set.
+    over the normals of P_i and -P_j, so the pair's own roots Z and -Z hold
+    every direction where its feasibility can change.  All pairs' roots and
+    the four axes cut the circle into point elements and open gaps; bit e
+    of a pair's mask says whether element e is feasible, and ``full`` has
+    every element's bit set.
+
+    A pair is infeasible at each of its own roots, where h_K vanishes at t
+    or at -t.  Between two consecutive own roots its feasibility is
+    constant, so one evaluation fills the whole open run.  A pair with no
+    roots is feasible everywhere: K has interior, so h_K(t) + h_K(-t) > 0
+    and h_K, never zero, is positive throughout.
     """
     _, polys = family._int_data
     m = len(polys)
-    pairs = list(itertools.combinations(range(m), 2))
-
     forms = [_walk_form(verts) for verts in polys]
     negated = [_walk_form(tuple((-x, -y) for x, y in verts)) for verts in polys]
-    zeros = set()
-    for i, j in pairs:
-        zeros.update(_walk_zeros(forms[i], negated[j], 1))
+    own = {}
+    for pair in itertools.combinations(range(m), 2):
+        zeros = _walk_zeros(forms[pair[0]], negated[pair[1]], 1)
+        own[pair] = set(zeros).union(_neg(d) for d in zeros)
     roots = _sort_directions(
-        {(1, 0), (0, 1), (-1, 0), (0, -1)} | zeros | {_neg(d) for d in zeros}
+        {(1, 0), (0, 1), (-1, 0), (0, -1)}.union(*own.values())
     )
-
-    # each root, then the open gap after it: the axes keep every gap under
-    # pi/2, so the sum of its endpoints lies strictly inside it
-    elements = []
-    for k, p in enumerate(roots):
-        q = roots[(k + 1) % len(roots)]
-        elements.append(p)
-        elements.append((p[0] + q[0], p[1] + q[1]))
-    n = len(elements)
-
-    his, los = [], []
-    for verts in polys:
-        dots = [[vx * dx + vy * dy for vx, vy in verts] for dx, dy in elements]
-        his.append([max(row) for row in dots])
-        los.append([min(row) for row in dots])
+    n_roots = len(roots)
+    full = (1 << (2 * n_roots)) - 1
+    at = {d: k for k, d in enumerate(roots)}
 
     pair_masks = {}
-    for i, j in pairs:
-        hi_i, lo_i, hi_j, lo_j = his[i], los[i], his[j], los[j]
-        pair_masks[(i, j)] = sum(
-            1 << e for e in range(n) if hi_i[e] > lo_j[e] and hi_j[e] > lo_i[e]
-        )
-    return (1 << n) - 1, pair_masks
+    for (i, j), pair_roots in own.items():
+        if not pair_roots:
+            pair_masks[(i, j)] = full
+            continue
+        vi, vj = polys[i], polys[j]
+        # root k is element 2k and the open gap after it element 2k + 1;
+        # the axes keep every gap under pi/2, so the sum of a gap's
+        # endpoints lies strictly inside it
+        ks = sorted(at[d] for d in pair_roots)
+        mask = 0
+        for a, b in zip(ks, ks[1:] + ks[:1]):
+            p, q = roots[a], roots[(a + 1) % n_roots]
+            tx, ty = p[0] + q[0], p[1] + q[1]
+            hi_i = max(x * tx + y * ty for x, y in vi)
+            lo_i = min(x * tx + y * ty for x, y in vi)
+            hi_j = max(x * tx + y * ty for x, y in vj)
+            lo_j = min(x * tx + y * ty for x, y in vj)
+            if hi_i > lo_j and hi_j > lo_i:
+                # elements 2a + 1 .. 2b - 1, wrapping past element 0 when
+                # b <= a
+                mask |= (1 << (2 * b)) - (1 << (2 * a + 1)) + (full if b <= a else 0)
+        pair_masks[(i, j)] = mask
+    return full, pair_masks
 
 
 def _subfamily_counts(kernel: tuple, subsets) -> list:
@@ -793,11 +818,29 @@ def verify_lemma_313(a: ConvexPolygon, b: ConvexPolygon, c: ConvexPolygon) -> Le
 
 @dataclass(frozen=True)
 class TransversalVerdict:
+    """``component_count`` is the whole family's quotient component count
+    from the pair-mask kernel; ``witness`` recomputes it from the family's
+    own envelope profile and checks the two against each other."""
+
     theorem: str
     checks: tuple
     hypotheses_hold: bool
-    conclusion_holds: bool
-    witness: dict
+    family: PolygonFamily
+    component_count: int
+
+    @property
+    def conclusion_holds(self) -> bool:
+        return self.component_count >= 1
+
+    @functools.cached_property
+    def witness(self) -> dict:
+        total = components(transversal_profile(self.family))
+        if total.component_count != self.component_count:
+            raise InvariantViolation(
+                f"the envelope profile gives {total.component_count} components "
+                f"of the whole family, the pair-mask kernel {self.component_count}"
+            )
+        return total.to_dict()
 
     def to_dict(self) -> dict:
         return {
@@ -825,7 +868,9 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
     combos5 = list(itertools.combinations(range(m), 5))
     combos4 = list(itertools.combinations(range(m), 4))
     kernel = _pair_masks(family)
-    counts = _subfamily_counts(kernel, combos5 + combos4)
+    # the whole family last: Helly's theorem on the line makes its feasible
+    # set the AND of all pair masks
+    counts = _subfamily_counts(kernel, combos5 + combos4 + [tuple(range(m))])
     if semipairwise:
         # lemma-313: a disjoint pair in every triple keeps its space off
         # the full circle
@@ -855,14 +900,7 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
             )
         )
     hypotheses_hold = all(dict(c)["pass"] for c in checks)
-    total = components(transversal_profile(family))
-    return TransversalVerdict(
-        "thm-321",
-        tuple(checks),
-        hypotheses_hold,
-        total.component_count >= 1,
-        total.to_dict(),
-    )
+    return TransversalVerdict("thm-321", tuple(checks), hypotheses_hold, family, counts[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +953,7 @@ def _on_grid(poly: ConvexPolygon) -> tuple:
     """Integer vertices of a `random_convex_polygon` output, scaled by its
     default grid; interior overlap tests do not change under a common
     positive scaling."""
-    return tuple((int(x * _GRID), int(y * _GRID)) for x, y in poly.vertices)
+    return _scaled(poly.vertices, _GRID)
 
 
 def _placement_ok(candidate_verts, scaled_existing, disjointness) -> bool:

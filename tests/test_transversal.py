@@ -17,6 +17,7 @@ from helly_topo.errors import (
     ValidationError,
 )
 from helly_topo.transversal_plane import (
+    _convex_hull,
     _cross,
     _dir_cmp,
     _pair_masks,
@@ -84,6 +85,59 @@ def test_polygon_accepts_rational_strings():
     poly = ConvexPolygon((("1/2", 0), ("3/2", "0.5"), ("1/2", 1)))
     assert poly.vertices[0] == (Fraction(1, 2), Fraction(0))
     assert poly.vertices[1] == (Fraction(3, 2), Fraction(1, 2))
+
+
+def _fraction_turn_error(vertices):
+    """The polygon check in Fraction arithmetic: the error text a vertex
+    cycle must be rejected with, or None if it is strictly convex and
+    counterclockwise."""
+    verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    n = len(verts)
+    if n < 3:
+        return "a polygon needs at least 3 vertices"
+    for i in range(n):
+        a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
+        if (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) <= 0:
+            return (
+                "vertices must be strictly convex in counterclockwise order "
+                f"(violated at vertex {i + 1})"
+            )
+    return None
+
+
+@st.composite
+def _vertex_cycles(draw):
+    """Rational vertex cycles with mixed denominators: convex hulls, some
+    reversed (clockwise), with a repeated vertex or an edge midpoint
+    (collinear), rotated, or raw point lists."""
+    coord = st.fractions(-5, 5, max_denominator=9)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8))
+    verts = list(points) if draw(st.booleans()) else _convex_hull(points)
+    edit = draw(st.sampled_from(["none", "reverse", "repeat", "midpoint"]))
+    if verts and edit == "reverse":
+        verts.reverse()
+    elif verts and edit == "repeat":
+        k = draw(st.integers(0, len(verts) - 1))
+        verts.insert(k, verts[k])
+    elif len(verts) >= 2 and edit == "midpoint":
+        k = draw(st.integers(0, len(verts) - 2))
+        a, b = verts[k], verts[k + 1]
+        verts.insert(k + 1, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+    shift = draw(st.integers(0, 7))
+    return verts[shift % len(verts):] + verts[:shift % len(verts)] if verts else verts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_vertex_cycles())
+def test_polygon_check_matches_fraction_turns(verts):
+    expected = _fraction_turn_error(verts)
+    try:
+        poly = ConvexPolygon(tuple(verts))
+    except ValidationError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert poly.vertices == tuple((Fraction(x), Fraction(y)) for x, y in verts)
 
 
 def test_support_interval_unit_square():
@@ -453,9 +507,40 @@ def _reference_profile(family):
     return TransversalProfile(family, scale, tuple(panels), tuple(signs))
 
 
+def _reference_pair_masks(fam):
+    """Every pair evaluated at every element of the common cut (each root
+    of every pair and the four axes, then the open gap after it): the table
+    that `_pair_masks` fills run by run from each pair's own roots."""
+    _, polys = fam._int_data
+    pairs = list(itertools.combinations(range(fam.size), 2))
+    zeros = set()
+    for i, j in pairs:
+        zeros.update(
+            _walk_zeros(_walk_form(polys[i]), _walk_form(tuple((-x, -y) for x, y in polys[j])), 1)
+        )
+    roots = sorted(
+        {(1, 0), (0, 1), (-1, 0), (0, -1)} | zeros | {(-x, -y) for x, y in zeros},
+        key=functools.cmp_to_key(_dir_cmp),
+    )
+    elements = []
+    for k, p in enumerate(roots):
+        q = roots[(k + 1) % len(roots)]
+        elements += [p, (p[0] + q[0], p[1] + q[1])]
+    masks = {
+        (i, j): sum(
+            1 << e for e, d in enumerate(elements)
+            if _feasibility_sign_at((polys[i], polys[j]), d) > 0
+        )
+        for i, j in pairs
+    }
+    return (1 << len(elements)) - 1, masks
+
+
 def _assert_kernel_matches_oracle(fam):
     subsets = _all_subsets(fam.size)
-    counts = _subfamily_counts(_pair_masks(fam), subsets)
+    kernel = _pair_masks(fam)
+    assert kernel == _reference_pair_masks(fam)
+    counts = _subfamily_counts(kernel, subsets)
     for subset, count in zip(subsets, counts):
         sub = fam.subfamily(subset)
         prof = transversal_profile(sub)
@@ -491,7 +576,11 @@ def _assert_pair_roots_are_exact(fam):
 @pytest.mark.parametrize("m", [6, 7, 8])
 def test_subfamily_counts_match_profile_on_stabbed_families(m):
     for seed, jitter in enumerate((0.05, 0.6, 1.2)):
-        _assert_kernel_matches_oracle(random_stabbed_family(m, seed, jitter=jitter))
+        fam = random_stabbed_family(m, seed, jitter=jitter)
+        counts = _assert_kernel_matches_oracle(fam)
+        verdict = verify_theorem_321(fam)
+        assert verdict.component_count == counts[-1]
+        assert verdict.witness == components(transversal_profile(fam)).to_dict()
 
 
 def test_subfamily_counts_match_profile_on_random_families():
@@ -550,6 +639,51 @@ def test_triple_audit_fires_on_a_full_disjoint_pair(monkeypatch):
     monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
     with pytest.raises(InvariantViolation, match="triple"):
         verify_theorem_321(fam)
+
+
+def test_witness_disagreeing_with_the_kernel_raises(monkeypatch, capsys):
+    path = CORPUS / "poly6.json"
+    fam = load_polygon_family(path)
+    assert verify_theorem_321(fam).to_dict()["witness"]["component_count"] == 1
+    counts = transversal_plane._subfamily_counts
+
+    def mutant(kernel, subsets):
+        out = counts(kernel, subsets)
+        return out[:-1] + [out[-1] + 1]
+
+    monkeypatch.setattr(transversal_plane, "_subfamily_counts", mutant)
+    with pytest.raises(InvariantViolation, match="pair-mask kernel 2"):
+        verify_theorem_321(fam).to_dict()
+    assert main(["verify", "thm-321", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_thm321_sweep_builds_no_profile(monkeypatch):
+    def no_profile(family):
+        raise AssertionError("the sweep built an envelope profile")
+
+    monkeypatch.setattr(transversal_plane, "transversal_profile", no_profile)
+    rep = sweep_transversal("thm-321", 6, seed=4, m=6)
+    assert rep.total == 6 and rep.conclusion_violated == 0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    jitter=st.floats(0.05, 1.2),
+    perm=st.permutations(range(6)),
+)
+def test_member_permutations_preserve_counts(seed, jitter, perm):
+    fam = random_stabbed_family(6, seed, jitter=jitter)
+    image = PolygonFamily(tuple(fam.members[k] for k in perm))
+    subsets = _all_subsets(fam.size)
+    counts = dict(zip(subsets, _subfamily_counts(_pair_masks(fam), subsets)))
+    for subset, count in zip(subsets, _subfamily_counts(_pair_masks(image), subsets)):
+        assert count == counts[tuple(sorted(perm[k] for k in subset))], subset
+    before, after = verify_theorem_321(fam), verify_theorem_321(image)
+    assert after.hypotheses_hold == before.hypotheses_hold
+    assert after.conclusion_holds == before.conclusion_holds
+    assert after.witness["component_count"] == before.witness["component_count"]
 
 
 def _affine_image(fam, shear, turns, shift):
