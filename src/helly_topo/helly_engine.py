@@ -1,6 +1,7 @@
 """Hypothesis/conclusion verifiers for homological Helly-type criteria.
 
-Every criterion is one row of THEOREMS, evaluated by `run_verifier`: it
+Every criterion is one row of THEOREMS, keyed by its tag, and
+`run_verifier(tag, family, field, d=, lam=)` is the one entry point: it
 checks every required vanishing condition on the relevant subfamilies (the
 hypothesis ledger), then the asserted conclusion by direct simplex-set
 computation.  A verdict where the hypotheses hold but the conclusion fails
@@ -120,12 +121,12 @@ def _sizes_to_d_plus_1(m, p):
 
 
 THEOREMS = {
-    "prop-a": Theorem(
+    "prop-a": Theorem(  # union-vanishing from intersection-vanishing
         "lambda", 2,
         (("intersection", _every_size, lambda m, j, p: m - 1 - j + p),),
         "union", lambda m, p: m - 2 + p,
     ),
-    "thm-b": Theorem(
+    "thm-b": Theorem(  # intersection-vanishing from one union condition
         "lambda", 2,
         (
             ("union", lambda m, p: (m,), lambda m, j, p: m - 2 + p),
@@ -133,17 +134,17 @@ THEOREMS = {
         ),
         "intersection", lambda m, p: p - 1,
     ),
-    "helly": Theorem(
+    "helly": Theorem(  # topological Helly: a nonempty acyclic intersection
         "d", 1,
         (("intersection", _sizes_to_d_plus_1, lambda m, j, p: p - j),),
         "acyclic",
     ),
-    "sigma": Theorem(
+    "sigma": Theorem(  # a common point from union-vanishing at every size
         None, 2,
         (("union", _every_size, lambda m, j, p: j - 2),),
         "nonempty",
     ),
-    "breen": Theorem(
+    "breen": Theorem(  # a common point from union-vanishing up to size d+1
         "d", 2,
         (("union", _sizes_to_d_plus_1, lambda m, j, p: j - 2),),
         "nonempty",
@@ -219,31 +220,6 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
             witness = {"kind": "intersection", "nonempty": holds,
                        "size": inter.mask.bit_count()}
     return Verdict(theorem, field, ledger, ledger.all_satisfied, holds, witness)
-
-
-def verify_prop_a(family: SubcomplexFamily, lam: int = 0, field: CoefficientField = GF2) -> Verdict:
-    """Union-vanishing from intersection-vanishing (THEOREMS["prop-a"])."""
-    return run_verifier("prop-a", family, field, lam=lam)
-
-
-def verify_theorem_b(family: SubcomplexFamily, lam: int = 0, field: CoefficientField = GF2) -> Verdict:
-    """Intersection-vanishing from one union condition (THEOREMS["thm-b"])."""
-    return run_verifier("thm-b", family, field, lam=lam)
-
-
-def verify_helly(family: SubcomplexFamily, d: int, field: CoefficientField = GF2) -> Verdict:
-    """Topological Helly: a nonempty acyclic intersection (THEOREMS["helly"])."""
-    return run_verifier("helly", family, field, d=d)
-
-
-def verify_sigma(family: SubcomplexFamily, field: CoefficientField = GF2) -> Verdict:
-    """Common point from union-vanishing at every size (THEOREMS["sigma"])."""
-    return run_verifier("sigma", family, field)
-
-
-def verify_breen(family: SubcomplexFamily, d: int, field: CoefficientField = GF2) -> Verdict:
-    """Common point from union-vanishing up to size d+1 (THEOREMS["breen"])."""
-    return run_verifier("breen", family, field, d=d)
 
 
 @lru_cache(maxsize=8)

@@ -26,6 +26,9 @@ feasibility roots.  From those roots alone the thm-321 kernel counts the
 components of every subfamily, the whole family included, so a thm-321
 sweep builds no envelope profile; a verdict builds the whole family's
 profile only when its witness is read, and checks it against the kernel.
+
+The random generators draw on the 1/_GRID lattice and rejection-sample
+only for semipairwise disjointness, the class thm-321 needs.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ TWO_PI = 2.0 * math.pi
 
 # random polygons have coordinates on the 1/_GRID lattice
 _GRID = 10 ** 4
+# random_stabbed_family's member spacing, size and vertex draws
+_STAB_SPACING, _STAB_SIZE, _STAB_POINTS = 3.0, 0.9, (4, 10)
+_PAIR_RADII = (0.5, 1.5)  # random_disjoint_pair's member radii
 
 # feasible arcs or gaps narrower than this (radians) get a degeneracy flag:
 # a sampling oracle may misread the component count near such features
@@ -64,6 +70,8 @@ def _to_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"coordinate must be finite, got {value!r}")
         # exact decimal reading of the float's shortest repr
         return Fraction(str(value))
     if isinstance(value, str):
@@ -188,15 +196,6 @@ class PolygonFamily:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def subfamily(self, indices) -> "PolygonFamily":
-        idx = sorted(set(indices))
-        if not idx:
-            raise ContractViolation("index set must be nonempty")
-        return PolygonFamily(
-            tuple(self.members[i] for i in idx),
-            tuple(self.labels[i] for i in idx),
-        )
 
     @functools.cached_property
     def _int_data(self):
@@ -930,9 +929,9 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def random_convex_polygon(rng: random.Random, center=(0.0, 0.0), radius: float = 1.0,
-                          n_points: int = 8, grid: int = _GRID) -> ConvexPolygon:
-    """Hull of random near-circle points, rounded to rational grid coordinates."""
+def random_convex_polygon(rng: random.Random, center, radius: float,
+                          n_points: int) -> ConvexPolygon:
+    """Hull of random near-circle points, rounded to the 1/_GRID lattice."""
     cx, cy = center
     for _ in range(64):
         pts = []
@@ -941,76 +940,38 @@ def random_convex_polygon(rng: random.Random, center=(0.0, 0.0), radius: float =
             rr = radius * (0.72 + 0.28 * rng.random())
             x = cx + rr * math.cos(ang)
             y = cy + rr * math.sin(ang)
-            pts.append((round(x * grid), round(y * grid)))
+            pts.append((round(x * _GRID), round(y * _GRID)))
         # on one grid the integer numerators order and turn as the rationals do
         hull = _convex_hull(pts)
         if len(hull) >= 3:
-            return ConvexPolygon(tuple((Fraction(a, grid), Fraction(b, grid)) for a, b in hull))
+            return ConvexPolygon(tuple((Fraction(a, _GRID), Fraction(b, _GRID)) for a, b in hull))
     raise GenerationFailure("could not build a non-degenerate polygon")
 
 
 def _on_grid(poly: ConvexPolygon) -> tuple:
-    """Integer vertices of a `random_convex_polygon` output, scaled by its
-    default grid; interior overlap tests do not change under a common
-    positive scaling."""
+    """Integer vertices of a `random_convex_polygon` output, scaled by
+    _GRID; interior overlap tests do not change under a common positive
+    scaling."""
     return _scaled(poly.vertices, _GRID)
 
 
-def _placement_ok(candidate_verts, scaled_existing, disjointness) -> bool:
-    if disjointness is None:
-        return True
-    overlaps = [
-        i for i, verts in enumerate(scaled_existing)
-        if _interiors_overlap(verts, candidate_verts)
-    ]
-    if disjointness == "pairwise_disjoint":
-        return not overlaps
-    if disjointness == "semipairwise_disjoint":
-        for a in range(len(overlaps)):
-            for b in range(a + 1, len(overlaps)):
-                if _interiors_overlap(scaled_existing[overlaps[a]], scaled_existing[overlaps[b]]):
-                    return False
-        return True
-    raise ContractViolation(f"unknown disjointness class {disjointness!r}")
+def _placement_ok(candidate, existing) -> bool:
+    """The candidate (integer vertices) keeps the placed members
+    semipairwise disjoint: no two members it overlaps overlap each other."""
+    overlaps = [i for i, verts in enumerate(existing) if _interiors_overlap(verts, candidate)]
+    for a in range(len(overlaps)):
+        for b in range(a + 1, len(overlaps)):
+            if _interiors_overlap(existing[overlaps[a]], existing[overlaps[b]]):
+                return False
+    return True
 
 
-def random_polygon_family(m: int, box=(-8.0, 8.0, -8.0, 8.0), size_range=(0.5, 1.5),
-                          disjointness=None, seed: int = 0, n_points_range=(4, 12),
-                          max_attempts: int = 4000) -> PolygonFamily:
-    """Rejection-sample random convex polygons until the requested
-    disjointness class holds; deterministic per seed."""
-    if m < 1:
-        raise ContractViolation("m must be >= 1")
-    rng = random.Random(
-        f"polygon-family:{m}:{box}:{size_range}:{disjointness}:{seed}:{n_points_range}"
-    )
-    members, scaled = [], []
-    attempts = 0
-    while len(members) < m:
-        if attempts >= max_attempts:
-            raise GenerationFailure(
-                f"placed {len(members)}/{m} members after {attempts} attempts "
-                f"(disjointness={disjointness!r}, box={box}, size_range={size_range})"
-            )
-        attempts += 1
-        cx = rng.uniform(box[0], box[1])
-        cy = rng.uniform(box[2], box[3])
-        radius = rng.uniform(*size_range)
-        n_points = rng.randint(*n_points_range)
-        poly = random_convex_polygon(rng, (cx, cy), radius, n_points)
-        verts = _on_grid(poly)
-        if _placement_ok(verts, scaled, disjointness):
-            members.append(poly)
-            scaled.append(verts)
-    return PolygonFamily(tuple(members))
-
-
-def random_disjoint_pair(seed: int, size_range=(0.5, 1.5)) -> tuple:
+def random_disjoint_pair(seed: int) -> tuple:
     """Two polygons with disjoint interiors, deterministic per seed."""
-    rng = random.Random(f"disjoint-pair:{seed}:{size_range}")
+    rng = random.Random(f"disjoint-pair:{seed}:{_PAIR_RADII}")
     for _ in range(200):
-        r1 = rng.uniform(*size_range)
-        r2 = rng.uniform(*size_range)
+        r1 = rng.uniform(*_PAIR_RADII)
+        r2 = rng.uniform(*_PAIR_RADII)
         a = random_convex_polygon(rng, (rng.uniform(-2, 2), rng.uniform(-2, 2)), r1,
                                   rng.randint(3, 16))
         ang = rng.uniform(0.0, TWO_PI)
@@ -1026,9 +987,7 @@ def random_disjoint_pair(seed: int, size_range=(0.5, 1.5)) -> tuple:
     raise GenerationFailure("could not place a disjoint pair")
 
 
-def random_stabbed_family(m: int, seed: int, jitter: float = 0.4,
-                          spacing: float = 3.0, size: float = 0.9,
-                          n_points_range=(4, 10)) -> PolygonFamily:
+def random_stabbed_family(m: int, seed: int, jitter: float = 0.4) -> PolygonFamily:
     """Semipairwise-disjoint family whose members sit near a random line.
 
     The jitter parameter moves members off the common line; small values
@@ -1037,20 +996,20 @@ def random_stabbed_family(m: int, seed: int, jitter: float = 0.4,
     """
     if m < 1:
         raise ContractViolation("m must be >= 1")
-    rng = random.Random(f"stabbed-family:{m}:{seed}:{jitter}:{spacing}:{size}")
+    rng = random.Random(f"stabbed-family:{m}:{seed}:{jitter}:{_STAB_SPACING}:{_STAB_SIZE}")
     phi = rng.uniform(0.0, math.pi)
     ux, uy = math.cos(phi), math.sin(phi)
     px, py = -uy, ux
     members, scaled = [], []
     for k in range(m):
         for attempt in range(60):
-            along = (k - (m - 1) / 2.0) * spacing + rng.uniform(-0.25, 0.25) * spacing
+            along = (k - (m - 1) / 2.0) * _STAB_SPACING + rng.uniform(-0.25, 0.25) * _STAB_SPACING
             off = rng.uniform(-jitter, jitter)
             center = (along * ux + off * px, along * uy + off * py)
-            radius = size * rng.uniform(0.55, 1.0)
-            poly = random_convex_polygon(rng, center, radius, rng.randint(*n_points_range))
+            radius = _STAB_SIZE * rng.uniform(0.55, 1.0)
+            poly = random_convex_polygon(rng, center, radius, rng.randint(*_STAB_POINTS))
             verts = _on_grid(poly)
-            if _placement_ok(verts, scaled, "semipairwise_disjoint"):
+            if _placement_ok(verts, scaled):
                 members.append(poly)
                 scaled.append(verts)
                 break

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -11,9 +12,16 @@ from helly_topo.complex_core import (
     face_closure,
     grid_complex,
 )
-from helly_topo.errors import ContractViolation
+from helly_topo.errors import ContractViolation, GenerationFailure
 from helly_topo.homology import GF2, reduced_betti
-from helly_topo.transversal_plane import ConvexPolygon
+from helly_topo.transversal_plane import (
+    ConvexPolygon,
+    PolygonFamily,
+    _interiors_overlap,
+    _on_grid,
+    _placement_ok,
+    random_convex_polygon,
+)
 
 
 def known_spaces():
@@ -164,6 +172,58 @@ def square(cx, cy, half=0.5):
             (cx - half, cy + half),
         )
     )
+
+
+def subfamily(family, indices):
+    """The members at ``indices`` (sorted, deduplicated), keeping their labels."""
+    idx = sorted(set(indices))
+    if not idx:
+        raise ContractViolation("index set must be nonempty")
+    return PolygonFamily(
+        tuple(family.members[i] for i in idx),
+        tuple(family.labels[i] for i in idx),
+    )
+
+
+def _placement_allowed(candidate, existing, disjointness) -> bool:
+    if disjointness is None:
+        return True
+    if disjointness == "pairwise_disjoint":
+        return not any(_interiors_overlap(verts, candidate) for verts in existing)
+    if disjointness == "semipairwise_disjoint":
+        return _placement_ok(candidate, existing)
+    raise ContractViolation(f"unknown disjointness class {disjointness!r}")
+
+
+def random_polygon_family(m: int, box=(-8.0, 8.0, -8.0, 8.0), size_range=(0.5, 1.5),
+                          disjointness=None, seed: int = 0, n_points_range=(4, 12),
+                          max_attempts: int = 4000) -> PolygonFamily:
+    """Rejection-sample random convex polygons until the requested
+    disjointness class holds; deterministic per seed."""
+    if m < 1:
+        raise ContractViolation("m must be >= 1")
+    rng = random.Random(
+        f"polygon-family:{m}:{box}:{size_range}:{disjointness}:{seed}:{n_points_range}"
+    )
+    members, scaled = [], []
+    attempts = 0
+    while len(members) < m:
+        if attempts >= max_attempts:
+            raise GenerationFailure(
+                f"placed {len(members)}/{m} members after {attempts} attempts "
+                f"(disjointness={disjointness!r}, box={box}, size_range={size_range})"
+            )
+        attempts += 1
+        cx = rng.uniform(box[0], box[1])
+        cy = rng.uniform(box[2], box[3])
+        radius = rng.uniform(*size_range)
+        n_points = rng.randint(*n_points_range)
+        poly = random_convex_polygon(rng, (cx, cy), radius, n_points)
+        verts = _on_grid(poly)
+        if _placement_allowed(verts, scaled, disjointness):
+            members.append(poly)
+            scaled.append(verts)
+    return PolygonFamily(tuple(members))
 
 
 @pytest.fixture

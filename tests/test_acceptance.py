@@ -11,13 +11,12 @@ import time
 
 import pytest
 
-from helly_topo.helly_engine import random_family, sweep, verify_breen, verify_sigma
+from helly_topo.helly_engine import random_family, run_verifier, sweep
 from helly_topo.homology import GF2, RATIONALS, reduced_betti
 from helly_topo.transversal_plane import (
     components,
     random_convex_polygon,
     random_disjoint_pair,
-    random_polygon_family,
     sample_oracle,
     sweep_transversal,
     transversal_profile,
@@ -26,7 +25,7 @@ from helly_topo.transversal_plane import (
     verify_lemma_313,
 )
 
-from conftest import known_spaces, mv_consistency, reduced_euler
+from conftest import known_spaces, mv_consistency, random_polygon_family, reduced_euler
 
 
 def _report(number, message):
@@ -141,8 +140,8 @@ def test_criterion_05_breen_sigma_consistency():
     for seed in range(100):
         m = 2 + seed % 2  # m <= d + 1 for d = 2
         fam = random_family(10, m, 35, seed=seed)
-        vb = verify_breen(fam, d=2)
-        vs = verify_sigma(fam)
+        vb = run_verifier("breen", fam, d=2)
+        vs = run_verifier("sigma", fam)
         same = (
             vb.ledger.entries == vs.ledger.entries
             and vb.hypotheses_hold == vs.hypotheses_hold

@@ -19,11 +19,6 @@ from helly_topo.helly_engine import (
     random_family,
     run_verifier,
     sweep,
-    verify_breen,
-    verify_helly,
-    verify_prop_a,
-    verify_sigma,
-    verify_theorem_b,
 )
 from helly_topo.homology import GF2, RATIONALS, betti_number, reduced_betti
 
@@ -38,7 +33,7 @@ def test_prop_a_two_connected_sharing_vertex():
     ambient = build_complex([[0, 1], [1, 2]])
     a = Subcomplex(ambient, face_closure([(0, 1)]))
     b = Subcomplex(ambient, face_closure([(1, 2)]))
-    v = verify_prop_a(make_family(ambient, [a, b]), lam=0)
+    v = run_verifier("prop-a", make_family(ambient, [a, b]), lam=0)
     assert v.hypotheses_hold and v.conclusion_holds
 
 
@@ -46,7 +41,7 @@ def test_prop_a_disjoint_pair_fails_at_j2():
     ambient = build_complex([[0, 1], [2, 3]])
     a = Subcomplex(ambient, face_closure([(0, 1)]))
     b = Subcomplex(ambient, face_closure([(2, 3)]))
-    v = verify_prop_a(make_family(ambient, [a, b]), lam=0)
+    v = run_verifier("prop-a", make_family(ambient, [a, b]), lam=0)
     failed = v.ledger.failed_entries()
     assert not v.hypotheses_hold
     assert [(e.j, e.degree) for e in failed] == [(2, -1)]
@@ -62,7 +57,7 @@ def test_prop_a_three_strips():
         rect_subcomplex(ambient, n, 1, 3, 0, 4),
         rect_subcomplex(ambient, n, 2, 4, 0, 4),
     ]
-    v = verify_prop_a(make_family(ambient, members), lam=0)
+    v = run_verifier("prop-a", make_family(ambient, members), lam=0)
     assert v.hypotheses_hold
     assert v.conclusion_holds
     assert v.witness["degree"] == 1 and v.witness["observed"] == 0
@@ -72,10 +67,10 @@ def test_prop_a_contract_checks():
     ambient = build_complex([[0]])
     fam = make_family(ambient, [Subcomplex(ambient, frozenset({(0,)}))])
     with pytest.raises(ContractViolation):
-        verify_prop_a(fam, lam=0)  # m < 2
+        run_verifier("prop-a", fam, lam=0)  # m < 2
     fam2 = random_family(4, 2, 5, seed=0)
     with pytest.raises(ContractViolation):
-        verify_prop_a(fam2, lam=-1)
+        run_verifier("prop-a", fam2, lam=-1)
 
 
 # --- thm-b -----------------------------------------------------------------
@@ -85,7 +80,7 @@ def test_thm_b_connected_union_gives_common_point():
     ambient = build_complex([[0, 1], [1, 2]])
     a = Subcomplex(ambient, face_closure([(0, 1)]))
     b = Subcomplex(ambient, face_closure([(1, 2)]))
-    v = verify_theorem_b(make_family(ambient, [a, b]), lam=0)
+    v = run_verifier("thm-b", make_family(ambient, [a, b]), lam=0)
     assert v.hypotheses_hold and v.conclusion_holds
 
 
@@ -93,7 +88,7 @@ def test_thm_b_disconnected_union_fails_hypothesis_a():
     ambient = build_complex([[0, 1], [2, 3]])
     a = Subcomplex(ambient, face_closure([(0, 1)]))
     b = Subcomplex(ambient, face_closure([(2, 3)]))
-    v = verify_theorem_b(make_family(ambient, [a, b]), lam=0)
+    v = run_verifier("thm-b", make_family(ambient, [a, b]), lam=0)
     assert not v.hypotheses_hold
     failed = v.ledger.failed_entries()
     assert len(failed) == 1 and failed[0].kind == "union" and failed[0].degree == 0
@@ -107,7 +102,7 @@ def test_thm_b_lambda_one_strips():
         rect_subcomplex(ambient, n, 1, 3, 0, 4),
         rect_subcomplex(ambient, n, 2, 4, 0, 4),
     ]
-    v = verify_theorem_b(make_family(ambient, members), lam=1)
+    v = run_verifier("thm-b", make_family(ambient, members), lam=1)
     assert v.hypotheses_hold
     # conclusion: the triple intersection is connected (degree 0 vanishing)
     assert v.witness["degree"] == 0 and v.conclusion_holds
@@ -126,7 +121,7 @@ def test_helly_four_disks():
         rect_subcomplex(ambient, n, 1, 4, 0, 3),
     ]
     fam = make_family(ambient, members)
-    v = verify_helly(fam, d=2)
+    v = run_verifier("helly", fam, d=2)
     assert v.hypotheses_hold and v.conclusion_holds
     inter = intersect_members(fam, range(4))
     expected = rect_subcomplex(ambient, n, 1, 3, 1, 3)
@@ -141,7 +136,7 @@ def test_helly_empty_triple_fails_only_at_degree_minus_one():
     a = rect_subcomplex(ambient, n, 0, 4, 0, 1)
     b = rect_subcomplex(ambient, n, 0, 1, 0, 4)
     c = cells_subcomplex(ambient, n, [(2, 0), (2, 1), (2, 2), (1, 2), (0, 2)])
-    v = verify_helly(make_family(ambient, [a, b, c]), d=2)
+    v = run_verifier("helly", make_family(ambient, [a, b, c]), d=2)
     assert not v.hypotheses_hold
     failed = v.ledger.failed_entries()
     assert [(e.j, e.degree) for e in failed] == [(3, -1)]
@@ -151,16 +146,16 @@ def test_helly_empty_triple_fails_only_at_degree_minus_one():
 def test_helly_single_acyclic_member():
     ambient = grid_complex(3)
     member = rect_subcomplex(ambient, 3, 0, 2, 0, 2)
-    v = verify_helly(make_family(ambient, [member]), d=2)
+    v = run_verifier("helly", make_family(ambient, [member]), d=2)
     assert v.hypotheses_hold and v.conclusion_holds
 
 
 def test_helly_contract_checks():
     fam = random_family(4, 2, 5, seed=1)
     with pytest.raises(ContractViolation):
-        verify_helly(fam, d=0)
+        run_verifier("helly", fam, d=0)
     with pytest.raises(ContractViolation):
-        verify_helly(fam, d=1)  # declared embedding dim 2 exceeds d
+        run_verifier("helly", fam, d=1)  # declared embedding dim 2 exceeds d
 
 
 # --- Sigma and Breen -------------------------------------------------------
@@ -170,7 +165,7 @@ def test_sigma_two_members_connected_union():
     ambient = build_complex([[0, 1], [1, 2]])
     a = Subcomplex(ambient, face_closure([(0, 1)]))
     b = Subcomplex(ambient, face_closure([(1, 2)]))
-    v = verify_sigma(make_family(ambient, [a, b]))
+    v = run_verifier("sigma", make_family(ambient, [a, b]))
     assert v.hypotheses_hold and v.conclusion_holds
 
 
@@ -182,7 +177,7 @@ def test_sigma_three_rects():
         rect_subcomplex(ambient, n, 1, 4, 0, 4),
         rect_subcomplex(ambient, n, 1, 3, 0, 4),
     ]
-    v = verify_sigma(make_family(ambient, members))
+    v = run_verifier("sigma", make_family(ambient, members))
     assert v.hypotheses_hold and v.conclusion_holds
 
 
@@ -190,7 +185,7 @@ def test_sigma_disjoint_members_fail():
     ambient = build_complex([[0, 1], [2, 3]])
     a = Subcomplex(ambient, face_closure([(0, 1)]))
     b = Subcomplex(ambient, face_closure([(2, 3)]))
-    v = verify_sigma(make_family(ambient, [a, b]))
+    v = run_verifier("sigma", make_family(ambient, [a, b]))
     assert not v.hypotheses_hold
 
 
@@ -198,7 +193,7 @@ def test_breen_five_nested_rects():
     n = 6
     ambient = grid_complex(n)
     members = [rect_subcomplex(ambient, n, 0, 2 + i, 0, 6) for i in range(5)]
-    v = verify_breen(make_family(ambient, members), d=2)
+    v = run_verifier("breen", make_family(ambient, members), d=2)
     assert v.hypotheses_hold and v.conclusion_holds
 
 
@@ -208,7 +203,7 @@ def test_breen_fails_only_at_disconnected_pair_union():
     a = rect_subcomplex(ambient, n, 0, 1, 0, 1)
     b = rect_subcomplex(ambient, n, 5, 6, 5, 6)
     c = rect_subcomplex(ambient, n, 0, 6, 0, 6)
-    v = verify_breen(make_family(ambient, [a, b, c]), d=2)
+    v = run_verifier("breen", make_family(ambient, [a, b, c]), d=2)
     assert not v.hypotheses_hold
     failed = v.ledger.failed_entries()
     assert [(e.j, e.degree, e.indices) for e in failed] == [(2, 0, (0, 1))]
@@ -218,8 +213,8 @@ def test_breen_coincides_with_sigma_when_m_small():
     for seed in range(30):
         m = 2 + seed % 2
         fam = random_family(8, m, 30, seed=seed)
-        vb = verify_breen(fam, d=2)
-        vs = verify_sigma(fam)
+        vb = run_verifier("breen", fam, d=2)
+        vs = run_verifier("sigma", fam)
         assert vb.ledger.entries == vs.ledger.entries
         assert vb.hypotheses_hold == vs.hypotheses_hold
         assert vb.conclusion_holds == vs.conclusion_holds
@@ -230,7 +225,7 @@ def test_breen_coincides_with_sigma_when_m_small():
 
 def test_vacuous_degrees_recorded():
     fam = random_family(6, 5, 10, seed=3)
-    v = verify_prop_a(fam, lam=0)
+    v = run_verifier("prop-a", fam, lam=0)
     # j=1 entries sit at degree m-2 = 3 > ambient dimension: vacuous
     vac = [e for e in v.ledger.entries if e.status == "vacuous"]
     assert vac and all(e.observed is None for e in vac)
@@ -244,7 +239,7 @@ def test_empty_intersections_fail_exactly_at_degree_minus_one():
         rect_subcomplex(ambient, 4, 2, 3, 2, 3),
         rect_subcomplex(ambient, 4, 3, 4, 0, 1),
     ]
-    v = verify_helly(make_family(ambient, members), d=2)
+    v = run_verifier("helly", make_family(ambient, members), d=2)
     failed = v.ledger.failed_entries()
     assert failed
     assert all(e.degree == -1 for e in failed)
@@ -262,11 +257,11 @@ def test_adding_ambient_member_keeps_conclusion():
         rect_subcomplex(ambient, n, 1, 4, 1, 4),
     ]
     fam = make_family(ambient, members)
-    v = verify_helly(fam, d=2)
+    v = run_verifier("helly", fam, d=2)
     assert v.hypotheses_hold and v.conclusion_holds
     whole = Subcomplex(ambient, ambient.simplices)
     fam2 = make_family(ambient, members + [whole])
-    v2 = verify_helly(fam2, d=2)
+    v2 = run_verifier("helly", fam2, d=2)
     assert intersect_members(fam2, range(3)).member_simplices == \
         intersect_members(fam, range(2)).member_simplices
     if v2.hypotheses_hold:
@@ -367,14 +362,19 @@ def _relabelled_family(fam, label):
 def test_vertex_relabelling_keeps_betti_vectors_and_ledgers(seed, labels):
     fam = random_family(5, 3, 12, seed)  # the 5x5 grid has vertices 0..35
     image = _relabelled_family(fam, dict(enumerate(labels)))
-    for field in (GF2, RATIONALS):
-        for j in (1, 2, 3):
-            for combo in itertools.combinations(range(3), j):
-                for combine in (intersect_members, union_members):
-                    a, b = combine(fam, combo), combine(image, combo)
+    for j in (1, 2, 3):
+        for combo in itertools.combinations(range(3), j):
+            for combine in (intersect_members, union_members):
+                a, b = combine(fam, combo), combine(image, combo)
+                for field in (GF2, RATIONALS):
                     assert reduced_betti(a, field) == reduced_betti(b, field)
                     for k in range(-1, 3):
                         assert betti_number(a, k, field) == betti_number(b, k, field)
+                # a planar grid subcomplex has no torsion: the two fields agree
+                assert reduced_betti(a, GF2).betti == reduced_betti(a, RATIONALS).betti
+                for k in range(-1, 3):
+                    assert betti_number(a, k, GF2) == betti_number(a, k, RATIONALS)
+    for field in (GF2, RATIONALS):
         for tag in THEOREMS:
             assert run_verifier(tag, fam, field, d=2, lam=1).to_dict() == \
                 run_verifier(tag, image, field, d=2, lam=1).to_dict()

@@ -1,6 +1,7 @@
 """Static checks on the package and test sources, with the standard library
-only: every imported name is used, and the package imports nothing outside
-the standard library (its ``dependencies`` list is empty)."""
+only: every imported name is used, the package imports nothing outside the
+standard library (its ``dependencies`` list is empty), and every name the
+package exports has a reader inside the package."""
 
 import ast
 import sys
@@ -80,3 +81,41 @@ def test_stdlib_import_check_finds_third_party_modules():
 def test_package_imports_only_the_standard_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _non_stdlib_imports(tree) == []
+
+
+def _exported(tree) -> list:
+    """The string constants of a module's ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)]
+    return []
+
+
+def _unread_exports(exported, trees) -> list:
+    """Exported names that no tree reads, as an ``ast.Name`` load or as an
+    ``ast.Attribute`` attr: a public name only tests call."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in exported if name not in read)
+
+
+def test_unread_export_check_finds_names_without_a_reader():
+    init = ast.parse("from .a import f, g, h, k\n__all__ = ['f', 'g', 'h', 'k']\n")
+    module = ast.parse("def f():\n    return g()\nh = 1\nx.k\n")
+    assert _exported(init) == ["f", "g", "h", "k"]
+    # f is only defined and h only assigned; g is called and k read as an attribute
+    assert _unread_exports(_exported(init), [module]) == ["f", "h"]
+
+
+def test_every_export_has_a_reader_in_the_package():
+    init = ROOT / "src" / "helly_topo" / "__init__.py"
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in PACKAGE if path != init]
+    assert _unread_exports(_exported(ast.parse(init.read_text(encoding="utf-8"))), trees) == []

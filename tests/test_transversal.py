@@ -1,7 +1,9 @@
 import functools
+import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +39,6 @@ from helly_topo.transversal_plane import (
     polygons_disjoint,
     random_convex_polygon,
     random_disjoint_pair,
-    random_polygon_family,
     random_stabbed_family,
     sample_oracle,
     sweep_transversal,
@@ -48,7 +49,7 @@ from helly_topo.transversal_plane import (
     verify_theorem_321,
 )
 
-from conftest import square
+from conftest import random_polygon_family, square, subfamily
 
 
 UNIT_SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -85,6 +86,22 @@ def test_polygon_accepts_rational_strings():
     poly = ConvexPolygon((("1/2", 0), ("3/2", "0.5"), ("1/2", 1)))
     assert poly.vertices[0] == (Fraction(1, 2), Fraction(0))
     assert poly.vertices[1] == (Fraction(3, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_polygon_rejects_non_finite_coordinates(bad, tmp_path, capsys):
+    message = f"coordinate must be finite, got {bad!r}"
+    with pytest.raises(ValidationError) as exc:
+        ConvexPolygon(((0, 0), (1, 0), (bad, 1)))
+    assert str(exc.value) == message
+    # the JSON file spells the value NaN, Infinity or -Infinity
+    path = tmp_path / "bad.json"
+    member = {"label": "P1", "vertices": [[0, 0], [1, 0], [bad, 1]]}
+    path.write_text(json.dumps({"members": [member]}))
+    assert main(["verify", "lemma-311", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: member 'P1': {message}\n"
 
 
 def _fraction_turn_error(vertices):
@@ -542,7 +559,7 @@ def _assert_kernel_matches_oracle(fam):
     assert kernel == _reference_pair_masks(fam)
     counts = _subfamily_counts(kernel, subsets)
     for subset, count in zip(subsets, counts):
-        sub = fam.subfamily(subset)
+        sub = subfamily(fam, subset)
         prof = transversal_profile(sub)
         assert prof == _reference_profile(sub), subset
         _assert_boundary_signs_match_oracle(prof)
@@ -564,7 +581,7 @@ def _assert_pair_roots_are_exact(fam):
         roots = set(zeros) | {(-x, -y) for x, y in zeros}
         for d in roots:
             assert _feasibility_sign_at((a, b), d) == 0, d
-        prof = transversal_profile(fam.subfamily((i, j)))
+        prof = transversal_profile(subfamily(fam, (i, j)))
         for k, (panel, sign) in enumerate(zip(prof.panels, prof.boundary_signs)):
             if sign == 0 and (panel.feasible_sign or prof.panels[k - 1].feasible_sign):
                 assert panel.start in roots, panel
@@ -772,12 +789,41 @@ def test_random_stabbed_family_is_semipairwise():
 
 
 def test_vertex_counts_in_range():
-    import random
-
     rng = random.Random("vertex-count")
     for _ in range(30):
         poly = random_convex_polygon(rng, (0, 0), 1.0, rng.randint(3, 16))
         assert 3 <= len(poly.vertices) <= 16
+
+
+# SHA-256 of the vertex tuples `_generator_draws` yields.  The sweep
+# goldens pin only counts; this pins the polygons themselves, so a change
+# to any generator's draws fails here before it moves a sweep's instances.
+GENERATOR_DRAWS_SHA256 = "611c545f0905386ebb2b5a844f9f1b44ca2c1b7faffe9fc75355918350e82847"
+
+
+def _generator_draws():
+    for m in (6, 7, 8):
+        for seed in range(4):
+            for jitter in (0.05, 0.4, 1.2):
+                yield random_stabbed_family(m, seed, jitter=jitter).members
+    for seed in range(20):
+        yield random_disjoint_pair(seed)
+    rng = random.Random("pinned-convex-polygons")
+    for n in range(3, 17):
+        yield (random_convex_polygon(rng, (rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                                     rng.uniform(0.5, 2.0), n),)
+    for disjointness in (None, "pairwise_disjoint", "semipairwise_disjoint"):
+        for seed in range(4):
+            yield random_polygon_family(4, disjointness=disjointness, seed=seed).members
+
+
+def test_generator_draws_are_pinned():
+    digest = hashlib.sha256()
+    for polys in _generator_draws():
+        for poly in polys:
+            digest.update(repr(poly.vertices).encode())
+        digest.update(b";")
+    assert digest.hexdigest() == GENERATOR_DRAWS_SHA256
 
 
 # --- sweeps ----------------------------------------------------------------
