@@ -96,7 +96,8 @@ class Verdict:
 class Theorem:
     """One row of THEOREMS.
 
-    ``param`` names the integer parameter p ("lambda", "d" or None).  Each
+    ``param`` names the integer parameter p ("lambda", "d" or None), and
+    ``min_size(p)`` is the least family size the theorem speaks about.  Each
     hypothesis block (kind, sizes(m, p), degree(m, j, p)) requires the
     intersection or union of every size-j subfamily, j in sizes, to have
     vanishing homology in that degree.  ``conclusion`` is "union" or
@@ -106,7 +107,7 @@ class Theorem:
     """
 
     param: object
-    min_size: int
+    min_size: object
     hypotheses: tuple
     conclusion: str
     conclusion_degree: object = None
@@ -122,12 +123,12 @@ def _sizes_to_d_plus_1(m, p):
 
 THEOREMS = {
     "prop-a": Theorem(  # union-vanishing from intersection-vanishing
-        "lambda", 2,
+        "lambda", lambda p: 2,
         (("intersection", _every_size, lambda m, j, p: m - 1 - j + p),),
         "union", lambda m, p: m - 2 + p,
     ),
     "thm-b": Theorem(  # intersection-vanishing from one union condition
-        "lambda", 2,
+        "lambda", lambda p: 2,
         (
             ("union", lambda m, p: (m,), lambda m, j, p: m - 2 + p),
             ("intersection", lambda m, p: range(1, m), lambda m, j, p: m - 2 - j + p),
@@ -135,17 +136,17 @@ THEOREMS = {
         "intersection", lambda m, p: p - 1,
     ),
     "helly": Theorem(  # topological Helly: a nonempty acyclic intersection
-        "d", 1,
+        "d", lambda p: p + 1,  # the hypotheses need a size-(d+1) subfamily
         (("intersection", _sizes_to_d_plus_1, lambda m, j, p: p - j),),
         "acyclic",
     ),
     "sigma": Theorem(  # a common point from union-vanishing at every size
-        None, 2,
+        None, lambda p: 2,
         (("union", _every_size, lambda m, j, p: j - 2),),
         "nonempty",
     ),
     "breen": Theorem(  # a common point from union-vanishing up to size d+1
-        "d", 2,
+        "d", lambda p: 2,
         (("union", _sizes_to_d_plus_1, lambda m, j, p: j - 2),),
         "nonempty",
     ),
@@ -184,11 +185,11 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
                 f"exceeds d={d}"
             )
     m = family.size
-    if m < row.min_size:
-        raise ContractViolation(f"family size must be >= {row.min_size}")
+    p = lam if row.param == "lambda" else d
+    if m < row.min_size(p):
+        raise ContractViolation(f"family size must be >= {row.min_size(p)}")
     if row.param == "lambda" and lam < 0:
         raise ContractViolation("lambda must be >= 0")
-    p = lam if row.param == "lambda" else d
     dim = family.ambient.dimension
     entries = []
     for kind, sizes, degree_of in row.hypotheses:

@@ -27,6 +27,9 @@ components of every subfamily, the whole family included, so a thm-321
 sweep builds no envelope profile; a verdict builds the whole family's
 profile only when its witness is read, and checks it against the kernel.
 
+Each statement is a row of TRANSVERSALS, the lemma rows data for one lemma
+verifier, and `verify_transversal(tag, family)` evaluates a row.
+
 The random generators draw on the 1/_GRID lattice and rejection-sample
 only for semipairwise disjointness, the class thm-321 needs.
 """
@@ -462,6 +465,24 @@ class ComponentSummary:
         }
 
 
+def _cyclic_runs(flags) -> list:
+    """(first, last) index of every maximal run of true flags on a cycle,
+    in order from the first false flag on; a run that wraps past index 0
+    has last < first.  At least one flag must be false."""
+    n = len(flags)
+    start_at = flags.index(False)
+    runs, first = [], None
+    for off in range(1, n + 1):
+        i = (start_at + off) % n
+        if flags[i]:
+            if first is None:
+                first = i
+        elif first is not None:
+            runs.append((first, (i - 1) % n))
+            first = None
+    return runs
+
+
 def components(profile: TransversalProfile) -> ComponentSummary:
     """Exact connectivity of the feasible direction set in the quotient circle."""
     panels = profile.panels
@@ -502,24 +523,6 @@ def components(profile: TransversalProfile) -> ComponentSummary:
             min_gap_width=math.pi,
         )
 
-    total = 2 * n
-    start_at = next(i for i in range(total) if not feas[i])
-    runs = []  # (first_element, last_element) in rotated coordinates
-    current = None
-    for off in range(total):
-        i = (start_at + off) % total
-        if feas[i]:
-            if current is None:
-                current = [i, i]
-            else:
-                current[1] = i
-        else:
-            if current is not None:
-                runs.append(tuple(current))
-                current = None
-    if current is not None:
-        runs.append(tuple(current))
-
     def _element_panel(e):
         # feasible runs open and close on panel elements (odd indices)
         if e % 2 != 1:
@@ -527,7 +530,7 @@ def components(profile: TransversalProfile) -> ComponentSummary:
         return e // 2
 
     arcs_full = []
-    for first, last in runs:
+    for first, last in _cyclic_runs(feas):
         pi_first = _element_panel(first)
         pi_last = _element_panel(last)
         d0 = panels[pi_first].start
@@ -689,30 +692,13 @@ def sample_oracle(family: PolygonFamily, resolution: int) -> ComponentSummary:
         return ComponentSummary(0, False, (), (), None, math.pi,
                                 method="sampled", resolution=resolution)
 
-    # cyclic run extraction over the quotient circle
-    start_at = feasible.index(False)
-    arcs = []
-    current = None
-    for off in range(resolution):
-        i = (start_at + off) % resolution
-        if feasible[i]:
-            if current is None:
-                current = [i, i]
-            else:
-                current[1] = i
-        else:
-            if current is not None:
-                arcs.append(tuple(current))
-                current = None
-    if current is not None:
-        arcs.append(tuple(current))
     out = []
-    for first, last in arcs:
+    for first, last in _cyclic_runs(feasible):
         a0 = first * step
         width = ((last - first) % resolution + 1) * step
         out.append((a0, a0 + width))
     min_arc = min(e - s for s, e in out)
-    return ComponentSummary(len(arcs), False, tuple(sorted(out)), (), min_arc, None,
+    return ComponentSummary(len(out), False, tuple(sorted(out)), (), min_arc, None,
                             method="sampled", resolution=resolution)
 
 
@@ -786,33 +772,18 @@ class LemmaVerdict:
         }
 
 
-def verify_lemma_311_plane(polygon: ConvexPolygon) -> LemmaVerdict:
-    """One polygon: every direction admits a transversal, so the space is
-    circle-like, (b0, b1) = (0, 1)."""
-    summary = components(transversal_profile(PolygonFamily((polygon,))))
-    passed = summary.full_circle and summary.betti() == {"nonempty": True, "b0": 0, "b1": 1}
-    return LemmaVerdict("lemma-311", passed, {"b0": 0, "b1": 1}, summary)
+def _lemma(tag: str, expected: dict, holds, disjoint_pair=None):
+    """A lemma row's verifier: it passes when ``holds`` accepts the
+    family's component summary.  ``disjoint_pair``, if given, is the error
+    text for a family whose first two members' interiors intersect."""
 
+    def verify(family: PolygonFamily) -> LemmaVerdict:
+        if disjoint_pair is not None and not polygons_disjoint(*family.members[:2]):
+            raise ContractViolation(disjoint_pair)
+        summary = components(transversal_profile(family))
+        return LemmaVerdict(tag, holds(summary), dict(expected), summary)
 
-def verify_lemma_312_plane(a: ConvexPolygon, b: ConvexPolygon) -> LemmaVerdict:
-    """A separated pair: exactly one component and not the full circle,
-    (b0, b1) = (0, 0) -- a point up to homotopy."""
-    if not polygons_disjoint(a, b):
-        raise ContractViolation("pair is not separated: the interiors intersect")
-    summary = components(transversal_profile(PolygonFamily((a, b))))
-    passed = (summary.component_count == 1) and not summary.full_circle
-    return LemmaVerdict("lemma-312", passed, {"b0": 0, "b1": 0}, summary)
-
-
-def verify_lemma_313(a: ConvexPolygon, b: ConvexPolygon, c: ConvexPolygon) -> LemmaVerdict:
-    """A disjoint pair plus any third polygon: the transversal space never
-    wraps the whole direction circle (b1 = 0); it may be empty or have
-    several components."""
-    if not polygons_disjoint(a, b):
-        raise ContractViolation("designated pair is not disjoint")
-    summary = components(transversal_profile(PolygonFamily((a, b, c))))
-    passed = not summary.full_circle
-    return LemmaVerdict("lemma-313", passed, {"b1": 0}, summary)
+    return verify
 
 
 @dataclass(frozen=True)
@@ -1073,24 +1044,30 @@ def _sweep_polygon(rng, spread) -> ConvexPolygon:
 
 # tag -> ((member count, error text) or None, verify(family), draw(rng, trial_seed, m)).
 # A row without a member count checks the family's size itself, and its
-# sweep draws m members.  The lambdas look the verifiers and generators up
-# by module-global name at call time, so a rebinding of those names (as
-# by a tracer) is seen.
+# sweep draws m members.  A lemma row's verifier is `_lemma` of its data.
+# Verifiers and generators are looked up by module-global name at call
+# time, so a rebinding of those names (as by a tracer) is seen.
 TRANSVERSALS = {
+    # one polygon: every direction admits a transversal, a circle-like space
     "lemma-311": (
         (1, "lemma-311 needs a family with exactly 1 member"),
-        lambda fam: verify_lemma_311_plane(*fam.members),
+        _lemma("lemma-311", {"b0": 0, "b1": 1}, lambda s: s.full_circle),
         lambda rng, ts, m: PolygonFamily((_sweep_polygon(rng, 2),)),
     ),
+    # a separated pair: one component, not the full circle, so a point
     "lemma-312": (
         (2, "lemma-312 needs a family with exactly 2 members"),
-        lambda fam: verify_lemma_312_plane(*fam.members),
+        _lemma("lemma-312", {"b0": 0, "b1": 0},
+               lambda s: s.component_count == 1 and not s.full_circle,
+               "pair is not separated: the interiors intersect"),
         lambda rng, ts, m: PolygonFamily(random_disjoint_pair(ts)),
     ),
+    # a disjoint pair plus any third polygon: never the full circle
     "lemma-313": (
         (3, "lemma-313 needs a family with exactly 3 members "
             "(the first two form the disjoint pair)"),
-        lambda fam: verify_lemma_313(*fam.members),
+        _lemma("lemma-313", {"b1": 0}, lambda s: not s.full_circle,
+               "designated pair is not disjoint"),
         lambda rng, ts, m: PolygonFamily(random_disjoint_pair(ts) + (_sweep_polygon(rng, 6),)),
     ),
     "thm-321": (
@@ -1108,9 +1085,9 @@ def _transversal(tag: str) -> tuple:
 
 
 def verify_transversal(tag: str, family: PolygonFamily):
-    """Evaluate a TRANSVERSALS row on a family: a `LemmaVerdict` or a
-    `TransversalVerdict`, both with `hypotheses_hold`, `conclusion_holds`
-    and `to_dict()`."""
+    """The transversal entry point, the counterpart of `run_verifier`: a
+    TRANSVERSALS row's `LemmaVerdict` or `TransversalVerdict` of a family,
+    both with `hypotheses_hold`, `conclusion_holds` and `to_dict()`."""
     arity, verify, _ = _transversal(tag)
     if arity is not None and family.size != arity[0]:
         raise ValidationError(arity[1])

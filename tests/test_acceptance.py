@@ -14,15 +14,14 @@ import pytest
 from helly_topo.helly_engine import random_family, run_verifier, sweep
 from helly_topo.homology import GF2, RATIONALS, reduced_betti
 from helly_topo.transversal_plane import (
+    PolygonFamily,
     components,
     random_convex_polygon,
     random_disjoint_pair,
     sample_oracle,
     sweep_transversal,
     transversal_profile,
-    verify_lemma_311_plane,
-    verify_lemma_312_plane,
-    verify_lemma_313,
+    verify_transversal,
 )
 
 from conftest import known_spaces, mv_consistency, random_polygon_family, reduced_euler
@@ -165,7 +164,7 @@ def test_criterion_06_lemma_311_sweep():
             rng.uniform(0.3, 2.5),
             rng.randint(3, 16),
         )
-        verdict = verify_lemma_311_plane(poly)
+        verdict = verify_transversal("lemma-311", PolygonFamily((poly,)))
         assert verdict.passed, poly.vertices
         assert verdict.summary.betti() == {"nonempty": True, "b0": 0, "b1": 1}
         passes += 1
@@ -177,7 +176,7 @@ def test_criterion_07_lemma_312_sweep():
     passes = 0
     for seed in range(200):
         a, b = random_disjoint_pair(seed)
-        verdict = verify_lemma_312_plane(a, b)
+        verdict = verify_transversal("lemma-312", PolygonFamily((a, b)))
         assert verdict.passed, seed
         assert verdict.summary.component_count == 1
         assert not verdict.summary.full_circle
@@ -199,7 +198,7 @@ def test_criterion_08_lemma_313_sweep():
             rng.uniform(0.4, 2.2),
             rng.randint(3, 16),
         )
-        verdict = verify_lemma_313(a, b, c)
+        verdict = verify_transversal("lemma-313", PolygonFamily((a, b, c)))
         assert verdict.passed, seed
         passes += 1
     assert passes == 200

@@ -15,6 +15,7 @@ def family_file(tmp_path):
         "members": [
             {"label": "A1", "simplices": [[0, 1, 2], [1, 2, 3]]},
             {"label": "A2", "simplices": [[1, 2, 3], [2, 3, 4]]},
+            {"label": "A3", "simplices": [[2, 3, 4]]},
         ],
     }
     path = tmp_path / "fam.json"
@@ -78,6 +79,17 @@ def test_verify_helly_exit_zero(family_file, capsys):
     assert report["result"]["theorem"] == "helly"
     assert report["result"]["hypotheses_hold"] is True
     assert report["result"]["conclusion_holds"] is True
+
+
+def test_verify_helly_below_d_plus_1_members_exits_three(disjoint_family_file, capsys):
+    code = main(["verify", "helly", "--in", disjoint_family_file, "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "input error: family size must be >= 3\n"
+    code = main(["sweep", "--theorem", "helly", "--m", "2", "--trials", "3", "--growth", "12"])
+    assert code == 3
+    assert capsys.readouterr().err == "input error: family size must be >= 3\n"
 
 
 def test_verify_exit_two_on_failed_hypotheses(disjoint_family_file, capsys):
@@ -218,8 +230,11 @@ def _polygon_file(tmp_path, corners):
          "the theorem needs a family of at least 6 members"),
         ("lemma-312", [(0, 0), (1, 1)],
          "pair is not separated: the interiors intersect"),
+        ("lemma-313", [(0, 0), (1, 1), (5, 0)],
+         "designated pair is not disjoint"),
     ],
-    ids=["311-two", "312-three", "313-two", "321-five", "312-overlapping"],
+    ids=["311-two", "312-three", "313-two", "321-five", "312-overlapping",
+         "313-overlapping"],
 )
 def test_verify_transversal_input_errors(tmp_path, capsys, tag, corners, message):
     path = _polygon_file(tmp_path, corners)

@@ -144,10 +144,27 @@ def test_helly_empty_triple_fails_only_at_degree_minus_one():
 
 
 def test_helly_single_acyclic_member():
+    # the smallest family the theorem speaks about at d = 2: three members
     ambient = grid_complex(3)
     member = rect_subcomplex(ambient, 3, 0, 2, 0, 2)
-    v = run_verifier("helly", make_family(ambient, [member]), d=2)
+    v = run_verifier("helly", make_family(ambient, [member] * 3), d=2)
     assert v.hypotheses_hold and v.conclusion_holds
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_helly_needs_d_plus_1_members(d):
+    # below d+1 members no hypothesis requires a nonempty intersection, so
+    # two disjoint members would read as a violation: out of scope instead
+    ambient = grid_complex(3)
+    a = rect_subcomplex(ambient, 3, 0, 1, 0, 1)
+    b = rect_subcomplex(ambient, 3, 2, 3, 2, 3)
+    for m in range(2, d + 1):
+        fam = make_family(ambient, [a, b] * (m // 2) + [a] * (m % 2))
+        with pytest.raises(ContractViolation, match=f"^family size must be >= {d + 1}$"):
+            run_verifier("helly", fam, d=d)
+    fam = make_family(ambient, [a, b] + [a] * (d - 1))
+    v = run_verifier("helly", fam, d=d)
+    assert not v.hypotheses_hold and not v.conclusion_holds
 
 
 def test_helly_contract_checks():
@@ -255,6 +272,7 @@ def test_adding_ambient_member_keeps_conclusion():
     members = [
         rect_subcomplex(ambient, n, 0, 3, 0, 3),
         rect_subcomplex(ambient, n, 1, 4, 1, 4),
+        rect_subcomplex(ambient, n, 0, 3, 1, 4),
     ]
     fam = make_family(ambient, members)
     v = run_verifier("helly", fam, d=2)
@@ -262,8 +280,8 @@ def test_adding_ambient_member_keeps_conclusion():
     whole = Subcomplex(ambient, ambient.simplices)
     fam2 = make_family(ambient, members + [whole])
     v2 = run_verifier("helly", fam2, d=2)
-    assert intersect_members(fam2, range(3)).member_simplices == \
-        intersect_members(fam, range(2)).member_simplices
+    assert intersect_members(fam2, range(4)).member_simplices == \
+        intersect_members(fam, range(3)).member_simplices
     if v2.hypotheses_hold:
         assert v2.conclusion_holds
 

@@ -21,6 +21,7 @@ from helly_topo.errors import (
 from helly_topo.transversal_plane import (
     _convex_hull,
     _cross,
+    _cyclic_runs,
     _dir_cmp,
     _pair_masks,
     _primitive,
@@ -28,6 +29,7 @@ from helly_topo.transversal_plane import (
     _subfamily_counts,
     _walk_form,
     _walk_zeros,
+    ComponentSummary,
     ConvexPolygon,
     Panel,
     PolygonFamily,
@@ -43,10 +45,8 @@ from helly_topo.transversal_plane import (
     sample_oracle,
     sweep_transversal,
     transversal_profile,
-    verify_lemma_311_plane,
-    verify_lemma_312_plane,
-    verify_lemma_313,
     verify_theorem_321,
+    verify_transversal,
 )
 
 from conftest import random_polygon_family, square, subfamily
@@ -285,6 +285,42 @@ def test_sample_oracle_resolution_contract():
         sample_oracle(PolygonFamily((UNIT_SQUARE,)), 4)
 
 
+def _brute_force_runs(flags) -> list:
+    """Every maximal true run as (first, last), found from each run start
+    (a true flag after a false one), listed from the first false flag on."""
+    n = len(flags)
+    runs = []
+    for first in range(n):
+        if flags[first] and not flags[first - 1]:
+            last = first
+            while flags[(last + 1) % n]:
+                last = (last + 1) % n
+            runs.append((first, last))
+    start_at = flags.index(False)
+    return sorted(runs, key=lambda run: (run[0] - start_at) % n)
+
+
+def test_cyclic_runs_wrap_past_index_zero():
+    assert _cyclic_runs([True, False, True, True]) == [(2, 0)]
+    assert _cyclic_runs([True, True, False, True, False]) == [(3, 3), (0, 1)]
+    assert _cyclic_runs([False, True, False, True]) == [(1, 1), (3, 3)]
+    assert _cyclic_runs([False]) == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=40), shift=st.integers(0, 39))
+def test_cyclic_runs_match_brute_force(flags, shift):
+    # a rotation puts runs across index 0 as often as not
+    flags = flags + [False]
+    shift %= len(flags)
+    flags = flags[shift:] + flags[:shift]
+    runs = _cyclic_runs(flags)
+    assert runs == _brute_force_runs(flags)
+    covered = [i for first, last in runs
+               for i in range(first, first + (last - first) % len(flags) + 1)]
+    assert sorted(i % len(flags) for i in covered) == [i for i, f in enumerate(flags) if f]
+
+
 def test_exact_matches_oracle_on_random_families():
     guard = 4 * math.pi / 4096
     for seed in range(40):
@@ -344,14 +380,14 @@ def test_edge_touching_pair_flags_tangent_direction():
     kinds = {dict(f)["kind"] for f in summary.flags}
     assert "tangent_direction" in kinds
     # the pair is still separated, so the connectivity lemma applies
-    assert verify_lemma_312_plane(a, b).passed
+    assert verify_transversal("lemma-312", PolygonFamily((a, b))).passed
 
 
 # --- lemma verifiers -------------------------------------------------------
 
 
 def test_lemma_311_unit_square():
-    assert verify_lemma_311_plane(UNIT_SQUARE).passed
+    assert verify_transversal("lemma-311", PolygonFamily((UNIT_SQUARE,))).passed
 
 
 def test_lemma_311_random_polygons():
@@ -361,47 +397,78 @@ def test_lemma_311_random_polygons():
     for _ in range(12):
         poly = random_convex_polygon(rng, (rng.uniform(-3, 3), rng.uniform(-3, 3)),
                                      rng.uniform(0.4, 2.0), rng.randint(3, 16))
-        verdict = verify_lemma_311_plane(poly)
+        verdict = verify_transversal("lemma-311", PolygonFamily((poly,)))
         assert verdict.passed
         assert sample_oracle(PolygonFamily((poly,)), 2048).full_circle
 
 
 def test_lemma_311_thin_triangle():
     thin = ConvexPolygon(((0, 0), (10, 1), (0, 2)))
-    assert verify_lemma_311_plane(thin).passed
+    assert verify_transversal("lemma-311", PolygonFamily((thin,))).passed
 
 
 def test_lemma_312_horizontal_and_vertical_pairs():
-    assert verify_lemma_312_plane(square(0, 0), square(5, 0)).passed
-    assert verify_lemma_312_plane(square(0, 0), square(0, 5)).passed
+    assert verify_transversal("lemma-312", PolygonFamily((square(0, 0), square(5, 0)))).passed
+    assert verify_transversal("lemma-312", PolygonFamily((square(0, 0), square(0, 5)))).passed
 
 
 def test_lemma_312_rejects_overlap():
     with pytest.raises(ContractViolation):
-        verify_lemma_312_plane(square(0, 0), square(0.25, 0))
+        verify_transversal("lemma-312", PolygonFamily((square(0, 0), square(0.25, 0))))
 
 
 def test_lemma_313_collinear_triple():
-    verdict = verify_lemma_313(square(0, 0), square(5, 0), square(10, 0))
+    verdict = verify_transversal(
+        "lemma-313", PolygonFamily((square(0, 0), square(5, 0), square(10, 0)))
+    )
     assert verdict.passed
     assert verdict.summary.component_count >= 1
 
 
 def test_lemma_313_third_overlapping_both():
     big = ConvexPolygon(((-1, -2), (6, -2), (6, 2), (-1, 2)))
-    verdict = verify_lemma_313(square(0, 0), square(5, 0), big)
+    verdict = verify_transversal("lemma-313", PolygonFamily((square(0, 0), square(5, 0), big)))
     assert verdict.passed
 
 
 def test_lemma_313_empty_transversal_space():
-    verdict = verify_lemma_313(square(0, 0), square(5, 0), square(2.5, 50))
+    verdict = verify_transversal(
+        "lemma-313", PolygonFamily((square(0, 0), square(5, 0), square(2.5, 50)))
+    )
     assert verdict.passed
     assert verdict.summary.component_count == 0
 
 
 def test_lemma_313_requires_disjoint_pair():
     with pytest.raises(ContractViolation):
-        verify_lemma_313(square(0, 0), square(0.25, 0), square(5, 0))
+        verify_transversal(
+            "lemma-313", PolygonFamily((square(0, 0), square(0.25, 0), square(5, 0)))
+        )
+
+
+@pytest.mark.parametrize(
+    "tag, members, bad_summaries",
+    [
+        ("lemma-311", (UNIT_SQUARE,),
+         [ComponentSummary(1, False, ((0.0, 1.0),)), ComponentSummary(0, False, ())]),
+        ("lemma-312", (square(0, 0), square(5, 0)),
+         [ComponentSummary(1, True, ((0.0, math.pi),)), ComponentSummary(0, False, ()),
+          ComponentSummary(2, False, ((0.0, 0.5), (1.0, 1.5)))]),
+        ("lemma-313", (square(0, 0), square(5, 0), square(10, 0)),
+         [ComponentSummary(1, True, ((0.0, math.pi),))]),
+    ],
+)
+def test_lemma_rows_fail_on_a_contradicting_summary(monkeypatch, tag, members, bad_summaries):
+    # a lemma always holds, so its row's test of the summary is checked on
+    # summaries the lemma rules out; the row reads `components` at call
+    # time, as a tracer's rebinding needs
+    family = PolygonFamily(members)
+    assert verify_transversal(tag, family).passed
+    for bad in bad_summaries:
+        monkeypatch.setattr(transversal_plane, "components", lambda profile, bad=bad: bad)
+        verdict = verify_transversal(tag, family)
+        assert not verdict.passed and not verdict.conclusion_holds
+        assert verdict.to_dict()["observed"] == bad.to_dict()
 
 
 # --- thm-321 ----------------------------------------------------------------
