@@ -18,7 +18,7 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractViolation, MalformedInput, ValidationError
 
@@ -51,17 +51,6 @@ def face_closure(simplices) -> frozenset:
     return frozenset(closed)
 
 
-def _is_face_closed(simplices) -> bool:
-    # checking codimension-1 faces suffices by induction
-    sset = set(simplices)
-    for s in sset:
-        if len(s) > 1:
-            for i in range(len(s)):
-                if s[:i] + s[i + 1:] not in sset:
-                    return False
-    return True
-
-
 # bytes.translate table turning a binary string into 0/1 selector bytes
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -79,7 +68,9 @@ class _Index:
     ``dim_masks[k]`` holds the k-simplices, ``facets[i]`` the bits of
     ``order[i]``'s codimension-1 faces, ``closures[i]`` those of all its
     faces (itself included) and ``edges[j]`` the vertex bits of the edge
-    at bit V + j.
+    at bit V + j.  Looking up a facet that is not in the complex raises
+    KeyError, so the build checks face closure (codimension-1 faces
+    suffice by induction).
     """
 
     __slots__ = ("order", "bit", "dim_masks", "facets", "closures", "n_vertices", "edges")
@@ -118,10 +109,6 @@ class _Index:
         """The k-simplices of mask, sorted."""
         return list(_select(self.order, mask & self.dim_masks[k])) if 0 <= k < len(self.dim_masks) else []
 
-    def need(self, mask: int) -> int:
-        """OR of the facet masks of mask's simplices: the faces it must hold."""
-        return functools.reduce(operator.or_, _select(self.facets, mask), 0)
-
 
 @dataclass(frozen=True)
 class SimplicialComplex:
@@ -131,6 +118,9 @@ class SimplicialComplex:
     subcomplex carries no homology in degrees >= that value.  The built-in
     planar grid ambients guarantee it with value 2; user-supplied complexes
     carry it as a declaration that reports merely echo.
+
+    Every simplex must be in ``as_simplex`` normal form and the set must be
+    face-closed; construction checks both and builds ``_index``.
     """
 
     simplices: frozenset
@@ -141,8 +131,16 @@ class SimplicialComplex:
             object.__setattr__(self, "simplices", frozenset(self.simplices))
         if self.declared_embedding_dim < 1:
             raise ContractViolation("declared_embedding_dim must be >= 1")
-        if not _is_face_closed(self.simplices):
-            raise MalformedInput("complex is not closed under taking faces")
+        for s in self.simplices:
+            if not isinstance(s, tuple) or as_simplex(s) != s:
+                raise MalformedInput(
+                    f"simplex {s!r} must be a tuple of vertices in increasing order"
+                )
+        try:
+            index = _Index(self.simplices)
+        except KeyError:
+            raise MalformedInput("complex is not closed under taking faces") from None
+        self.__dict__["_index"] = index
         if self.dimension > self.declared_embedding_dim:
             raise ContractViolation(
                 f"complex dimension {self.dimension} exceeds declared embedding "
@@ -152,11 +150,7 @@ class SimplicialComplex:
     @functools.cached_property
     def dimension(self) -> int:
         """Max simplex dimension; -1 for the empty complex."""
-        return max(map(len, self.simplices), default=0) - 1
-
-    @functools.cached_property
-    def _index(self) -> _Index:
-        return _Index(self.simplices)
+        return len(self._index.dim_masks) - 1
 
 
 @dataclass(frozen=True, init=False)
@@ -164,14 +158,14 @@ class Subcomplex:
     """A face-closed subset of a parent complex's simplices.
 
     Held as ``mask``, a bitmask over the parent's simplex index; the
-    simplices are decoded from it on first use.  ``_need`` is the OR of
-    its simplices' facet masks, so it is face-closed iff
-    ``_need & ~mask == 0``, which every construction checks.
+    simplices are decoded from it on first use.  Building one from
+    simplices checks that each is in the parent and that the OR of their
+    facet masks lies inside ``mask``.  ``_from_mask`` checks nothing: masks
+    derived by ``&`` and ``|`` from face-closed ones are face-closed.
     """
 
     parent: SimplicialComplex
     mask: int
-    _need: int = field(compare=False, repr=False)
 
     def __init__(self, parent: SimplicialComplex, member_simplices):
         members = frozenset(member_simplices)
@@ -183,23 +177,17 @@ class Subcomplex:
                 raise ValidationError(f"simplex {list(s)} is not in the ambient complex")
             mask |= 1 << i
             need |= index.facets[i]
-        self._set(parent, mask, need)
-        self.__dict__["member_simplices"] = members
-
-    @classmethod
-    def _from_mask(cls, parent: SimplicialComplex, mask: int, need: int = None) -> "Subcomplex":
-        """A subcomplex from its mask; ``need`` is computed from the set
-        bits unless the caller has it (the OR of its parts' for a union)."""
-        self = object.__new__(cls)
-        self._set(parent, mask, parent._index.need(mask) if need is None else need)
-        return self
-
-    def _set(self, parent, mask, need):
         if need & ~mask:
             raise ValidationError("subcomplex is not closed under taking faces")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_need", need)
+        self.__dict__.update(parent=parent, mask=mask, member_simplices=members)
+
+    @classmethod
+    def _from_mask(cls, parent: SimplicialComplex, mask: int) -> "Subcomplex":
+        """A subcomplex from a mask over ``parent``'s index that the caller
+        guarantees is face-closed."""
+        self = object.__new__(cls)
+        self.__dict__.update(parent=parent, mask=mask)
+        return self
 
     @functools.cached_property
     def member_simplices(self) -> frozenset:
@@ -208,10 +196,6 @@ class Subcomplex:
     @property
     def simplices(self) -> frozenset:
         return self.member_simplices
-
-    @functools.cached_property
-    def dimension(self) -> int:
-        return len(self.parent._index.order[self.mask.bit_length() - 1]) - 1 if self.mask else -1
 
     @property
     def is_empty(self) -> bool:
@@ -280,13 +264,10 @@ def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
 
 
 def union_members(family: SubcomplexFamily, indices) -> Subcomplex:
-    """Simplex-set union of the selected members."""
+    """Simplex-set union of the selected members (face-closed by construction)."""
     idx = _check_indices(family, indices)
-    mask = need = 0
-    for i in idx:
-        mask |= family.members[i].mask
-        need |= family.members[i]._need
-    return Subcomplex._from_mask(family.ambient, mask, need)
+    mask = functools.reduce(operator.or_, (family.members[i].mask for i in idx))
+    return Subcomplex._from_mask(family.ambient, mask)
 
 
 def grid_complex(n: int) -> SimplicialComplex:

@@ -706,17 +706,17 @@ def sample_oracle(family: PolygonFamily, resolution: int) -> ComponentSummary:
 # disjointness classification (exact separating-axis tests on open interiors)
 
 def _interiors_overlap(verts_a, verts_b) -> bool:
-    """Open interiors intersect; touching boundaries count as disjoint."""
-    for verts in (verts_a, verts_b):
-        n = len(verts)
-        for i in range(n):
-            v, w = verts[i], verts[(i + 1) % n]
-            axis = (w[1] - v[1], -(w[0] - v[0]))
-            max_a = max(_dot(p, axis) for p in verts_a)
-            min_a = min(_dot(p, axis) for p in verts_a)
-            max_b = max(_dot(p, axis) for p in verts_b)
-            min_b = min(_dot(p, axis) for p in verts_b)
-            if max_a <= min_b or max_b <= min_a:
+    """Open interiors intersect; touching boundaries count as disjoint.
+
+    They intersect iff 0 is interior to A - B, whose edge normals are the
+    outward normals of A and of -B.  A CCW edge of A from v has outward
+    normal n with max over A of n.p equal to n.v, so it separates iff
+    every vertex of B has n.p >= n.v; the edges of B act alike on A."""
+    for verts, other in ((verts_a, verts_b), (verts_b, verts_a)):
+        for v, w in zip(verts, verts[1:] + verts[:1]):
+            nx, ny = w[1] - v[1], v[0] - w[0]
+            c = nx * v[0] + ny * v[1]
+            if all(nx * x + ny * y >= c for x, y in other):
                 return False
     return True
 

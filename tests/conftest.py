@@ -124,7 +124,7 @@ def mv_consistency(a, b, field=GF2) -> MVReport:
     lhs = reduced_euler(bv_u)
     rhs = reduced_euler(bv_a) + reduced_euler(bv_b) - reduced_euler(bv_i)
     inequalities = []
-    for k in range(0, max(union.dimension, 0) + 1):
+    for k in range(max(map(len, union.member_simplices), default=1)):
         left = bv_u.betti_at(k)
         right = bv_a.betti_at(k) + bv_b.betti_at(k) + bv_i.betti_at(k - 1)
         inequalities.append((k, left, right, left <= right))

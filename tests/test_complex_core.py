@@ -3,8 +3,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helly_topo.complex_core import (
+    SimplicialComplex,
     SubcomplexFamily,
     Subcomplex,
     build_complex,
@@ -18,7 +20,7 @@ from helly_topo.complex_core import (
 from helly_topo.errors import ContractViolation, MalformedInput, ValidationError
 from helly_topo.helly_engine import random_family
 
-from conftest import make_family
+from conftest import known_spaces, make_family
 
 
 def test_build_triangle_boundary():
@@ -124,6 +126,24 @@ def test_subcomplex_errors_name_the_culprit():
     assert str(open_edge.value) == "subcomplex is not closed under taking faces"
 
 
+@pytest.mark.parametrize("simplices, text", [
+    ({(0, 1)}, "complex is not closed under taking faces"),
+    ({()}, "a simplex needs at least one vertex"),
+    ({(0,), (1,), (1, 0)}, "simplex (1, 0) must be a tuple of vertices in increasing order"),
+    ({(0,), 1}, "simplex 1 must be a tuple of vertices in increasing order"),
+    ({(0,), (0, 0)}, "duplicate vertex inside simplex [0, 0]"),
+    ({(0,), (0, -1)}, "vertex ids must be non-negative integers, got -1"),
+    ({(0,), ("a",)}, "vertex ids must be non-negative integers, got 'a'"),
+    ({(True,)}, "vertex ids must be non-negative integers, got True"),
+], ids=["open-edge", "empty", "unsorted", "not-a-tuple", "repeated", "negative", "string", "bool"])
+def test_complex_errors_name_the_culprit(simplices, text):
+    # only face-closed sets of simplices in as_simplex normal form get in,
+    # so nothing malformed reaches the index or the homology code
+    with pytest.raises(MalformedInput) as err:
+        SimplicialComplex(frozenset(simplices), 1)
+    assert str(err.value) == text
+
+
 def test_empty_family_rejected():
     ambient = build_complex([[0]])
     with pytest.raises(ContractViolation):
@@ -191,8 +211,7 @@ def test_set_operations_properties():
         assert inter_large.member_simplices <= inter_small.member_simplices
         assert union_small.member_simplices <= union_large.member_simplices
         for sub in (inter_small, inter_large, union_small, union_large):
-            # face-closedness: constructing the Subcomplex re-validates, and
-            # re-closing changes nothing
+            # face-closedness: re-closing changes nothing
             assert face_closure(sub.member_simplices) == sub.member_simplices
         # order of indices is irrelevant
         assert (
@@ -236,18 +255,6 @@ def test_ambient_index_orders_by_dimension_then_vertices():
         assert decode(index.dim_masks[k]) == {s for s in cx.simplices if len(s) == k + 1}
 
 
-def test_mask_constructions_are_face_closure_checked():
-    ambient = build_complex([[0, 1, 2]])
-    bit = ambient._index.bit
-    for missing_face in ((0,), (0, 1)):
-        mask = sum(1 << bit[s] for s in face_closure([(0, 1, 2)]) if s != missing_face)
-        with pytest.raises(ValidationError) as err:
-            Subcomplex._from_mask(ambient, mask)
-        assert str(err.value) == "subcomplex is not closed under taking faces"
-    whole = sum(1 << i for i in bit.values())
-    assert Subcomplex._from_mask(ambient, whole) == Subcomplex(ambient, ambient.simplices)
-
-
 def test_mask_operations_match_decoded_subcomplexes():
     # every & and | result equals the subcomplex validated from the
     # simplex-set operation on its members' decoded simplices
@@ -268,6 +275,31 @@ def test_mask_operations_match_decoded_subcomplexes():
                     rebuilt = Subcomplex(fam.ambient, expected)
                     assert got.member_simplices == expected
                     assert got == rebuilt and hash(got) == hash(rebuilt)
-                    assert got._need == rebuilt._need
-                    assert got.dimension == max(map(len, expected), default=0) - 1
                     assert got.is_empty == (not expected)
+
+
+# the non-grid ambients of known_spaces(), all closed surfaces
+_CLOSED_SURFACES = ("tetrahedron_boundary", "torus_7", "projective_plane_6")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), name=st.sampled_from(_CLOSED_SURFACES), m=st.integers(1, 4))
+def test_mask_operations_stay_face_closed_on_closed_surfaces(data, name, m):
+    # the unchecked & and | results decode to simplex sets that pass the
+    # face-closure check of Subcomplex(parent, simplices)
+    ambient = known_spaces()[name][0]
+    order = sorted(ambient.simplices)
+    members = [
+        Subcomplex(ambient, face_closure(data.draw(st.sets(st.sampled_from(order), max_size=8))))
+        for _ in range(m)
+    ]
+    fam = make_family(ambient, members)
+    indices = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+    sets = [members[i].member_simplices for i in indices]
+    for combine, expected in (
+        (intersect_members, frozenset.intersection(*sets)),
+        (union_members, frozenset.union(*sets)),
+    ):
+        got = combine(fam, indices)
+        assert got == Subcomplex(ambient, got.member_simplices)
+        assert got.member_simplices == expected

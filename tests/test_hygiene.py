@@ -1,7 +1,9 @@
 """Static checks on the package and test sources, with the standard library
 only: every imported name is used, the package imports nothing outside the
-standard library (its ``dependencies`` list is empty), and every name the
-package exports has a reader inside the package."""
+standard library (its ``dependencies`` list is empty), every name the
+package exports has a reader inside the package, and the package holds no
+``assert`` statement (``python -O`` strips them, so an invariant check
+must raise a real error)."""
 
 import ast
 import sys
@@ -119,3 +121,22 @@ def test_every_export_has_a_reader_in_the_package():
     trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in PACKAGE if path != init]
     assert _unread_exports(_exported(ast.parse(init.read_text(encoding="utf-8"))), trees) == []
+
+
+def _assert_statements(tree) -> list:
+    """Line of every ``assert`` statement in a tree."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_assert_check_finds_assert_statements():
+    tree = ast.parse(
+        "assert ready\ndef f(x):\n    assert x > 0, 'x must be positive'\n"
+        "    if not x:\n        raise ValueError('assert')\n    return x  # assert\n"
+    )
+    assert _assert_statements(tree) == [1, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_has_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _assert_statements(tree) == []

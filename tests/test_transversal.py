@@ -23,6 +23,7 @@ from helly_topo.transversal_plane import (
     _cross,
     _cyclic_runs,
     _dir_cmp,
+    _interiors_overlap,
     _pair_masks,
     _primitive,
     _strictly_inside,
@@ -367,6 +368,50 @@ def test_touching_boundaries_count_as_disjoint():
     a = square(0, 0)  # occupies [-1/2, 1/2]
     b = square(1, 0)  # occupies [1/2, 3/2]
     assert polygons_disjoint(a, b)
+
+
+def _interiors_overlap_reference(verts_a, verts_b) -> bool:
+    """Separating-axis oracle: both polygons projected onto every edge
+    normal of either, open intervals compared in both orders."""
+    for verts in (verts_a, verts_b):
+        n = len(verts)
+        for i in range(n):
+            v, w = verts[i], verts[(i + 1) % n]
+            axis = (w[1] - v[1], -(w[0] - v[0]))
+            max_a = max(p[0] * axis[0] + p[1] * axis[1] for p in verts_a)
+            min_a = min(p[0] * axis[0] + p[1] * axis[1] for p in verts_a)
+            max_b = max(p[0] * axis[0] + p[1] * axis[1] for p in verts_b)
+            min_b = min(p[0] * axis[0] + p[1] * axis[1] for p in verts_b)
+            if max_a <= min_b or max_b <= min_a:
+                return False
+    return True
+
+
+def test_interiors_overlap_matches_reference_on_lattice_pairs():
+    # hulls of point sets on a 5x5 lattice meet at corners, share edges,
+    # contain one another and repeat, so every boundary case comes up
+    rng = random.Random("lattice-overlap")
+    polys = set()
+    while len(polys) < 90:
+        points = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(3, 6))]
+        hull = _convex_hull(points)
+        if len(hull) >= 3:
+            polys.add(tuple(hull))
+    polys = sorted(polys)
+    verdicts = set()
+    for a, b in itertools.product(polys, repeat=2):
+        expected = _interiors_overlap_reference(a, b)
+        assert _interiors_overlap(a, b) == expected, (a, b)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_interiors_overlap_matches_reference_on_stabbed_families():
+    for seed in range(10):
+        for jitter in (0.05, 0.4, 1.2):
+            _, polys = random_stabbed_family(6, seed, jitter=jitter)._int_data
+            for a, b in itertools.permutations(polys, 2):
+                assert _interiors_overlap(a, b) == _interiors_overlap_reference(a, b)
 
 
 def test_edge_touching_pair_flags_tangent_direction():
