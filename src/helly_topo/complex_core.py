@@ -18,7 +18,7 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractViolation, MalformedInput, ValidationError
 
@@ -162,10 +162,17 @@ class Subcomplex:
     simplices checks that each is in the parent and that the OR of their
     facet masks lies inside ``mask``.  ``_from_mask`` checks nothing: masks
     derived by ``&`` and ``|`` from face-closed ones are face-closed.
+
+    ``parts`` holds the vertex masks of the 1-skeleton's connected
+    components, or None when they are unknown.  Generated blobs carry their
+    one part and a union of members that all carry parts merges theirs;
+    every other subcomplex leaves it None and homology counts components by
+    union-find.  It takes no part in equality.
     """
 
     parent: SimplicialComplex
     mask: int
+    parts: object = field(default=None, compare=False, repr=False)  # tuple of int, or None
 
     def __init__(self, parent: SimplicialComplex, member_simplices):
         members = frozenset(member_simplices)
@@ -182,11 +189,11 @@ class Subcomplex:
         self.__dict__.update(parent=parent, mask=mask, member_simplices=members)
 
     @classmethod
-    def _from_mask(cls, parent: SimplicialComplex, mask: int) -> "Subcomplex":
+    def _from_mask(cls, parent: SimplicialComplex, mask: int, parts=None) -> "Subcomplex":
         """A subcomplex from a mask over ``parent``'s index that the caller
-        guarantees is face-closed."""
+        guarantees is face-closed, with the caller's exact ``parts`` if known."""
         self = object.__new__(cls)
-        self.__dict__.update(parent=parent, mask=mask)
+        self.__dict__.update(parent=parent, mask=mask, parts=parts)
         return self
 
     @functools.cached_property
@@ -264,10 +271,32 @@ def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
 
 
 def union_members(family: SubcomplexFamily, indices) -> Subcomplex:
-    """Simplex-set union of the selected members (face-closed by construction)."""
+    """Simplex-set union of the selected members (face-closed by construction).
+
+    When every selected member has ``parts``, the union's are theirs merged
+    wherever they share a vertex: each edge of the union lies in one member,
+    so inside one of that member's parts.
+    """
     idx = _check_indices(family, indices)
-    mask = functools.reduce(operator.or_, (family.members[i].mask for i in idx))
-    return Subcomplex._from_mask(family.ambient, mask)
+    members = [family.members[i] for i in idx]
+    mask = functools.reduce(operator.or_, (sub.mask for sub in members))
+    parts = None
+    if all(sub.parts is not None for sub in members):
+        parts = []
+        for sub in members:
+            for part in sub.parts:
+                # the kept parts stay pairwise disjoint, so one pass absorbs
+                # every part that meets the growing one
+                disjoint = []
+                for other in parts:
+                    if other & part:
+                        part |= other
+                    else:
+                        disjoint.append(other)
+                disjoint.append(part)
+                parts = disjoint
+        parts = tuple(parts)
+    return Subcomplex._from_mask(family.ambient, mask, parts)
 
 
 def grid_complex(n: int) -> SimplicialComplex:
@@ -336,13 +365,15 @@ def parse_family(text: str) -> SubcomplexFamily:
             raise ValidationError(f"member {label!r}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"member {label!r}: expected a list of vertex lists") from exc
-        closed = face_closure(simps)
-        for s in sorted(closed):
-            if s not in ambient.simplices:
+        mask = 0
+        for s in sorted(face_closure(simps)):
+            i = ambient._index.bit.get(s)
+            if i is None:
                 raise ValidationError(
                     f"member {label!r} lists simplex {list(s)} absent from the ambient complex"
                 )
-        members.append(Subcomplex(ambient, closed))
+            mask |= 1 << i
+        members.append(Subcomplex._from_mask(ambient, mask))  # a face closure is closed
         labels.append(label)
     return SubcomplexFamily(ambient, tuple(members), tuple(labels))
 

@@ -14,11 +14,11 @@ degrees below -1 or above the ambient dimension are recorded as vacuous.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .complex_core import (
     SubcomplexFamily,
@@ -250,7 +250,8 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
 
     Each member is the face closure of an edge-connected triangle set grown
     by `growth_steps` accretions from a random start triangle (each step
-    adds one uniformly chosen frontier triangle).
+    adds one uniformly chosen frontier triangle), so its one part is its
+    vertex set.
     """
     if grid_n < 2:
         raise ContractViolation("grid_n must be >= 2")
@@ -260,25 +261,28 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
         raise ContractViolation("growth_steps must be >= 0")
     ambient, closures, adjacency = _grid_setup(grid_n)
     rng = random.Random(f"random-family:{grid_n}:{m}:{growth_steps}:{seed}")
+    vertices = ambient._index.dim_masks[0]
     members = []
-    # triangles are positions in sorted order, so sorting positions orders
-    # them as sorting the triangle tuples would, and every draw matches
+    # Triangles are positions in sorted order and the frontier list is kept
+    # sorted by insertion, so each draw indexes the frontier in sorted
+    # triangle order with one _randbelow call, as rng.choice(sorted(...))
+    # would; a test pins the draws.
     positions = range(len(closures))
     for _ in range(m):
         start = rng.choice(positions)
-        chosen = {start}
-        frontier = set(adjacency[start])
+        mask = closures[start]
+        frontier = list(adjacency[start])
+        seen = {start, *frontier}
         for _ in range(growth_steps):
             if not frontier:
                 break
-            tri = rng.choice(sorted(frontier))
-            chosen.add(tri)
-            frontier.discard(tri)
+            tri = frontier.pop(rng.randrange(len(frontier)))
+            mask |= closures[tri]
             for nb in adjacency[tri]:
-                if nb not in chosen:
-                    frontier.add(nb)
-        mask = reduce(operator.or_, map(closures.__getitem__, chosen))
-        members.append(Subcomplex._from_mask(ambient, mask))
+                if nb not in seen:
+                    seen.add(nb)
+                    bisect.insort(frontier, nb)
+        members.append(Subcomplex._from_mask(ambient, mask, (mask & vertices,)))
     labels = tuple(f"A{i + 1}" for i in range(m))
     return SubcomplexFamily(ambient, tuple(members), labels)
 

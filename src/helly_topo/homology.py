@@ -205,40 +205,43 @@ def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
 
 
 def _indexed(cx):
-    """(ambient, mask) of a complex or subcomplex: the mask of a whole
-    complex has every bit of its own index set."""
+    """(ambient, mask, parts) of a complex or subcomplex: the mask of a whole
+    complex has every bit of its own index set, and its parts are unknown."""
     if isinstance(cx, Subcomplex):
-        return cx.parent, cx.mask
-    return cx, (1 << len(cx.simplices)) - 1
+        return cx.parent, cx.mask, cx.parts
+    return cx, (1 << len(cx.simplices)) - 1, None
 
 
 def betti_number(cx, k: int, field: CoefficientField = GF2) -> int:
     """Single reduced Betti number, with the degree -1 emptiness convention.
 
     Cheaper than the full vector: degree -1 is an emptiness test, degree 0
-    a graph search, and b_k = n_k - rank d_k - rank d_{k+1} takes each rank
-    from `_rank` without elimination where linear algebra fixes it.  Counts
-    and edges come from the bitmask over the ambient's index.
+    a component count, and b_k = n_k - rank d_k - rank d_{k+1} takes each
+    rank from `_rank` without elimination where linear algebra fixes it.
+    Counts and edges come from the bitmask over the ambient's index.
     """
     if k < -1:
         return 0
-    ambient, mask = _indexed(cx)
+    ambient, mask, parts = _indexed(cx)
     if k == -1:
         return 0 if mask else 1
     if not mask:
         return 0
     index = ambient._index
     if k == 0:
-        return _components(index, mask) - 1
+        return _components(index, mask, parts) - 1
     n_k = index.count(mask, k)
     if not n_k:
         return 0
-    return n_k - _rank(ambient, mask, k, field) - _rank(ambient, mask, k + 1, field)
+    return n_k - _rank(ambient, mask, k, field, parts) - _rank(ambient, mask, k + 1, field, parts)
 
 
-def _components(index, mask) -> int:
-    """Connected components of the mask's 1-skeleton: a union-find over the
-    vertex bits, joined along the mask's edges."""
+def _components(index, mask, parts=None) -> int:
+    """Connected components of the mask's 1-skeleton: the number of
+    ``parts`` when they are known, else a union-find over the vertex bits,
+    joined along the mask's edges."""
+    if parts is not None:
+        return len(parts)
     root = list(range(index.n_vertices))
     merges = 0
     for u, v in _select(index.edges, mask >> index.n_vertices):
@@ -252,10 +255,11 @@ def _components(index, mask) -> int:
     return index.count(mask, 0) - merges
 
 
-def _rank(ambient, mask, k: int, field: CoefficientField) -> int:
+def _rank(ambient, mask, k: int, field: CoefficientField, parts) -> int:
     """Rank of the boundary map from the k-chains of a mask, over either field.
 
-    rank d_1 = V - c over every field, c the union-find component count.
+    rank d_1 = V - c over every field, c the component count: the number of
+    the mask's ``parts`` when they are known, else a union-find.
     At the ambient's top dimension D, a subcomplex's D-cycles are D-cycles
     of the ambient, so when the ambient has none (`_top_boundary_injective`)
     rank d_D is the number of D-simplices.  Every other rank is eliminated;
@@ -266,7 +270,7 @@ def _rank(ambient, mask, k: int, field: CoefficientField) -> int:
     if not n_k:
         return 0
     if k == 1:
-        return index.count(mask, 0) - _components(index, mask)
+        return index.count(mask, 0) - _components(index, mask, parts)
     if k == ambient.dimension and _top_boundary_injective(ambient):
         return n_k
     return _boundary_rank(index.of_dim(mask, k - 1), index.of_dim(mask, k), field)
@@ -280,6 +284,6 @@ def _top_boundary_injective(ambient) -> bool:
     boundary mod 2 has an odd maximal minor, a nonzero integer.
     """
     top = ambient.dimension
-    _, mask = _indexed(ambient)
+    _, mask, _ = _indexed(ambient)
     uppers = ambient._index.of_dim(mask, top)
     return _boundary_rank(ambient._index.of_dim(mask, top - 1), uppers, GF2) == len(uppers)

@@ -166,14 +166,22 @@ def test_parse_valid_family():
     assert fam.size == 2
     assert fam.labels == ("A1", "A2")
     assert fam.ambient.declared_embedding_dim == 2
+    # members equal the face closures built through the checking constructor
+    assert fam.members == tuple(
+        Subcomplex(fam.ambient, face_closure([t])) for t in [(0, 1, 2), (1, 2, 3)]
+    )
 
 
 def test_parse_rejects_simplex_outside_ambient():
-    data = _family_file()
-    data["members"][0]["simplices"].append([5, 6])
-    with pytest.raises(ValidationError) as err:
-        parse_family(json.dumps(data))
-    assert "5" in str(err.value)
+    # the error names the first missing simplex of the sorted face closure
+    for extra, first_missing in [([5, 6], [5]), ([0, 3], [0, 3]), ([0, 1, 3], [0, 1, 3])]:
+        data = _family_file()
+        data["members"][0]["simplices"].append(extra)
+        with pytest.raises(ValidationError) as err:
+            parse_family(json.dumps(data))
+        assert str(err.value) == (
+            f"member 'A1' lists simplex {first_missing} absent from the ambient complex"
+        )
 
 
 def test_parse_rejects_zero_members():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -315,6 +316,26 @@ def test_random_family_regression_pin():
         {0: 0, 1: 1, 2: 0},
         {0: 0, 1: 0, 2: 0},
     ]
+
+
+# SHA-256 over the member masks of random_family for every (grid_n, m,
+# growth_steps) in RANDOM_FAMILY_SETS and seeds 0-39 each, recorded with the
+# sorted-copy frontier that preceded the insertion-sorted one.
+RANDOM_FAMILY_SETS = (
+    (2, 3, 0), (2, 4, 200), (3, 2, 5), (5, 3, 20),
+    (8, 4, 40), (12, 4, 120), (12, 5, 12), (12, 2, 200),
+)
+RANDOM_FAMILY_DRAWS_SHA256 = "8277925158729f78779823c61684a8c837979f715114a6e26288902fc536ac09"
+
+
+def test_random_family_draws_are_pinned():
+    digest = hashlib.sha256()
+    for grid_n, m, growth_steps in RANDOM_FAMILY_SETS:
+        for seed in range(40):
+            for member in random_family(grid_n, m, growth_steps, seed).members:
+                digest.update(f"{member.mask:x},".encode())
+            digest.update(b";")
+    assert digest.hexdigest() == RANDOM_FAMILY_DRAWS_SHA256
 
 
 def test_random_family_contract_checks():

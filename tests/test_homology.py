@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from helly_topo.complex_core import (
     face_closure,
     grid_complex,
     intersect_members,
+    parse_family,
     union_members,
 )
 from helly_topo.errors import ContractViolation, InvariantViolation
@@ -23,13 +26,15 @@ from helly_topo.homology import (
     CoefficientField,
     betti_number,
     _boundary_rank,
+    _component_count,
+    _components,
     _signed_boundary,
     _top_boundary_injective,
     reduced_betti,
 )
 from helly_topo.helly_engine import random_family
 
-from conftest import known_spaces, mv_consistency, reduced_euler
+from conftest import known_spaces, make_family, mv_consistency, reduced_euler
 
 
 @pytest.mark.parametrize("name", list(known_spaces()))
@@ -284,6 +289,108 @@ def test_b0_matches_component_oracle():
     cx = build_complex([[0, 1, 2], [3, 4], [5]])
     bv = reduced_betti(cx, GF2)
     assert bv.betti[0] == 2
+
+
+# --- component parts --------------------------------------------------------
+
+
+def _reference_parts(sub) -> set:
+    """Vertex masks of the 1-skeleton's components, by graph search over the
+    decoded simplices."""
+    bit = sub.parent._index.bit
+    neighbours = {s[0]: [] for s in sub.member_simplices if len(s) == 1}
+    for s in sub.member_simplices:
+        if len(s) == 2:
+            neighbours[s[0]].append(s[1])
+            neighbours[s[1]].append(s[0])
+    parts = set()
+    while neighbours:
+        stack, part = [next(iter(neighbours))], 0
+        while stack:
+            v = stack.pop()
+            if v in neighbours:
+                part |= 1 << bit[(v,)]
+                stack.extend(neighbours.pop(v))
+        parts.add(part)
+    return parts
+
+
+def _assert_parts_exact(sub):
+    index = sub.parent._index
+    assert len(sub.parts) == _components(index, sub.mask) == _component_count(sub)
+    assert all(not a & b for a, b in itertools.combinations(sub.parts, 2))
+    assert functools.reduce(operator.or_, sub.parts, 0) == sub.mask & index.dim_masks[0]
+    assert set(sub.parts) == _reference_parts(sub)
+
+
+def _assert_unions_have_exact_parts(fam):
+    for j in range(1, fam.size + 1):
+        for combo in itertools.combinations(range(fam.size), j):
+            union = union_members(fam, combo)
+            _assert_parts_exact(union)
+            assert betti_number(union, 0) == len(union.parts) - 1
+            # intersections count components by union-find
+            assert intersect_members(fam, combo).parts is None
+
+
+def test_generated_members_have_one_part():
+    for seed in range(40):
+        for member in random_family(8, 4, 25, seed=seed).members:
+            assert member.parts == (member.mask & member.parent._index.dim_masks[0],)
+            _assert_parts_exact(member)
+
+
+def test_union_parts_are_exact_on_random_families():
+    sizes = set()
+    for seed in range(40):
+        fam = random_family(10, 4, 15, seed=seed)
+        _assert_unions_have_exact_parts(fam)
+        sizes.add(len(union_members(fam, range(4)).parts))
+    assert {1, 2} <= sizes  # connected and disconnected unions both occur
+
+
+def _with_reference_parts(fam):
+    return make_family(fam.ambient, [
+        Subcomplex._from_mask(fam.ambient, sub.mask, tuple(_reference_parts(sub)))
+        for sub in fam.members
+    ])
+
+
+def test_union_parts_merge_members_with_two_components():
+    # On the path 0-1-...-9, A and B have two components each.  C (three
+    # components, one the lone vertex 9) joins their parts into 0-3 and 4-7;
+    # D, third in (A, B, D), joins 0-1, 2-3 and 4-5 into 0-5.
+    text = json.dumps({
+        "ambient": [[v, v + 1] for v in range(9)],
+        "embedding_dim": 1,
+        "members": [
+            {"label": "A", "simplices": [[0, 1], [4, 5]]},
+            {"label": "B", "simplices": [[2, 3], [6, 7]]},
+            {"label": "C", "simplices": [[1, 2], [5, 6], [9]]},
+            {"label": "D", "simplices": [[1, 2], [3, 4]]},
+        ],
+    })
+    parsed = parse_family(text)
+    assert all(sub.parts is None for sub in parsed.members)
+    assert union_members(parsed, range(4)).parts is None
+    fam = _with_reference_parts(parsed)
+    assert [len(sub.parts) for sub in fam.members] == [2, 2, 3, 2]
+    _assert_unions_have_exact_parts(fam)
+    assert len(union_members(fam, (0, 1)).parts) == 4
+    assert len(union_members(fam, (0, 1, 2)).parts) == 3  # 0-3, 4-7 and 9
+    assert len(union_members(fam, (0, 1, 3)).parts) == 2  # 0-5 and 6-7
+
+
+def test_union_parts_third_member_bridges_two_disjoint_ones():
+    ambient = grid_complex(4)
+    fam = _with_reference_parts(make_family(ambient, [
+        Subcomplex(ambient, face_closure([(0, 1)])),
+        Subcomplex(ambient, face_closure([(3, 4)])),
+        Subcomplex(ambient, face_closure([(1, 2), (2, 3)])),
+    ]))
+    assert len(union_members(fam, (0, 1)).parts) == 2
+    assert len(union_members(fam, (0, 1, 2)).parts) == 1
+    _assert_unions_have_exact_parts(fam)
 
 
 def test_empty_complex_conventions():
