@@ -109,20 +109,26 @@ def _upper_half(d) -> bool:
     return d[1] > 0 or (d[1] == 0 and d[0] > 0)
 
 
-def _dir_cmp(a, b) -> int:
-    """Circular order starting at direction (1, 0)."""
-    if a == b:
-        return 0
-    ha = 0 if _upper_half(a) else 1
-    hb = 0 if _upper_half(b) else 1
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = _cross(a, b)
-    return -1 if c > 0 else 1
-
-
 def _sort_directions(dirs):
-    return sorted(set(dirs), key=functools.cmp_to_key(_dir_cmp))
+    """Distinct primitive directions in circular order from (1, 0).
+
+    Counterclockwise, -x/y grows within each open half-plane y > 0 and
+    y < 0, so the key is the half and then floor(-x * k / y) with
+    k = (max |y|)**2.  Two distinct primitive directions in one half have
+    slopes at least 1/|y1 * y2| >= 1/k apart, so k times their slopes are
+    at least 1 apart and their floors differ: the integer key is exact."""
+    dirs = set(dirs)
+    k = max((abs(y) for _, y in dirs), default=0) ** 2
+
+    def key(d):
+        x, y = d
+        if y > 0:
+            return (1, (-x * k) // y)
+        if y < 0:
+            return (3, (-x * k) // y)
+        return (0, 0) if x > 0 else (2, 0)
+
+    return sorted(dirs, key=key)
 
 
 def _strictly_inside(p, q, r) -> bool:
@@ -157,9 +163,19 @@ def _scaled(verts, scale: int) -> tuple:
 @dataclass(frozen=True)
 class ConvexPolygon:
     """An open bounded convex region, stored as a strictly convex CCW vertex
-    cycle with rational coordinates.  The region is the interior."""
+    cycle with rational coordinates.  The region is the interior.
+    Generated hulls enter unchecked through `_from_hull`: `_convex_hull`
+    already returns a strictly convex CCW cycle, so the check cannot fail."""
 
     vertices: tuple
+
+    @classmethod
+    def _from_hull(cls, vertices: tuple) -> "ConvexPolygon":
+        """A polygon from Fraction vertices that the caller guarantees are
+        a strictly convex CCW cycle."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vertices", vertices)
+        return self
 
     def __post_init__(self):
         verts = tuple((_to_fraction(x), _to_fraction(y)) for x, y in self.vertices)
@@ -587,10 +603,22 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     every element's bit set.
 
     A pair is infeasible at each of its own roots, where h_K vanishes at t
-    or at -t.  Between two consecutive own roots its feasibility is
-    constant, so one evaluation fills the whole open run.  A pair with no
-    roots is feasible everywhere: K has interior, so h_K(t) + h_K(-t) > 0
-    and h_K, never zero, is positive throughout.
+    or at -t, and K has interior, so h_K vanishes only where a support line
+    of K passes through 0.  The root count tells the contact apart:
+    - 0 roots: 0 lies inside K (the interiors overlap); h_K never
+      vanishes and h_K(t) + h_K(-t) > 0, so h_K > 0 and the mask is full;
+    - 2 roots n and -n: 0 lies inside an edge of K with outward normal n
+      (the members touch at an edge point); h_K > 0 off n, so the pair
+      fails only at the two point elements;
+    - 4 roots: 0 is a vertex of K or lies outside K, and the zeros Z bound
+      an arc A narrower than pi on which h_K <= 0.  The runs between the
+      4 roots alternate: A and -A fail, the two runs between them pass, so
+      one evaluation, on the gap after the first root, sets the phase.
+    Any other count raises `InvariantViolation`.  A 2-root pair is also
+    evaluated on the gaps on both sides of one root, which must pass: a
+    4-root pair that lost a zero fails on one of them.  (An edge contact
+    that lost its zero would read as an overlap; only an evaluation at n
+    itself could tell.)
     """
     _, polys = family._int_data
     m = len(polys)
@@ -607,29 +635,42 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     full = (1 << (2 * n_roots)) - 1
     at = {d: k for k, d in enumerate(roots)}
 
+    def feasible_after(i, j, a):
+        # root a is element 2a and the open gap after it element 2a + 1
+        # (a = -1 is the last gap); the axes keep every gap under pi/2, so
+        # the sum of a gap's endpoints lies strictly inside it
+        p, q = roots[a], roots[(a + 1) % n_roots]
+        tx, ty = p[0] + q[0], p[1] + q[1]
+        si = [x * tx + y * ty for x, y in polys[i]]
+        sj = [x * tx + y * ty for x, y in polys[j]]
+        return max(si) > min(sj) and max(sj) > min(si)
+
+    def run(a, b):
+        # elements 2a + 1 .. 2b - 1, wrapping past element 0 when b <= a
+        return (1 << (2 * b)) - (1 << (2 * a + 1)) + (full if b <= a else 0)
+
     pair_masks = {}
     for (i, j), pair_roots in own.items():
-        if not pair_roots:
-            pair_masks[(i, j)] = full
-            continue
-        vi, vj = polys[i], polys[j]
-        # root k is element 2k and the open gap after it element 2k + 1;
-        # the axes keep every gap under pi/2, so the sum of a gap's
-        # endpoints lies strictly inside it
         ks = sorted(at[d] for d in pair_roots)
-        mask = 0
-        for a, b in zip(ks, ks[1:] + ks[:1]):
-            p, q = roots[a], roots[(a + 1) % n_roots]
-            tx, ty = p[0] + q[0], p[1] + q[1]
-            hi_i = max(x * tx + y * ty for x, y in vi)
-            lo_i = min(x * tx + y * ty for x, y in vi)
-            hi_j = max(x * tx + y * ty for x, y in vj)
-            lo_j = min(x * tx + y * ty for x, y in vj)
-            if hi_i > lo_j and hi_j > lo_i:
-                # elements 2a + 1 .. 2b - 1, wrapping past element 0 when
-                # b <= a
-                mask |= (1 << (2 * b)) - (1 << (2 * a + 1)) + (full if b <= a else 0)
-        pair_masks[(i, j)] = mask
+        if not ks:
+            pair_masks[(i, j)] = full
+        elif len(ks) == 2:
+            a, b = ks
+            if not (feasible_after(i, j, a) and feasible_after(i, j, a - 1)):
+                raise InvariantViolation(
+                    f"pair {[i, j]} has 2 roots but is infeasible beside one"
+                )
+            pair_masks[(i, j)] = full & ~(1 << (2 * a)) & ~(1 << (2 * b))
+        elif len(ks) == 4:
+            a, b, c, d = ks
+            if feasible_after(i, j, a):
+                pair_masks[(i, j)] = run(a, b) | run(c, d)
+            else:
+                pair_masks[(i, j)] = run(b, c) | run(d, a)
+        else:
+            raise InvariantViolation(
+                f"pair {[i, j]} has {len(ks)} roots, not 0, 2 or 4"
+            )
     return full, pair_masks
 
 
@@ -915,7 +956,9 @@ def random_convex_polygon(rng: random.Random, center, radius: float,
         # on one grid the integer numerators order and turn as the rationals do
         hull = _convex_hull(pts)
         if len(hull) >= 3:
-            return ConvexPolygon(tuple((Fraction(a, _GRID), Fraction(b, _GRID)) for a, b in hull))
+            return ConvexPolygon._from_hull(
+                tuple((Fraction(a, _GRID), Fraction(b, _GRID)) for a, b in hull)
+            )
     raise GenerationFailure("could not build a non-degenerate polygon")
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helly_topo.cli import main
 from helly_topo import transversal_plane
@@ -22,12 +22,13 @@ from helly_topo.transversal_plane import (
     _convex_hull,
     _cross,
     _cyclic_runs,
-    _dir_cmp,
     _interiors_overlap,
     _pair_masks,
     _primitive,
+    _sort_directions,
     _strictly_inside,
     _subfamily_counts,
+    _upper_half,
     _walk_form,
     _walk_zeros,
     ComponentSummary,
@@ -165,6 +166,56 @@ def test_support_interval_unit_square():
     assert lo == pytest.approx(-1.0) and hi == pytest.approx(0.0, abs=1e-12)
     lo, hi = support_interval(UNIT_SQUARE, math.pi / 4)
     assert lo == pytest.approx(0.0, abs=1e-12) and hi == pytest.approx(math.sqrt(2))
+
+
+# --- direction order -------------------------------------------------------
+
+
+def _dir_cmp(a, b) -> int:
+    """Circular order starting at direction (1, 0), decided by the half
+    and then the sign of a cross product: the order oracle for the integer
+    key of `_sort_directions`."""
+    if a == b:
+        return 0
+    ha = 0 if _upper_half(a) else 1
+    hb = 0 if _upper_half(b) else 1
+    if ha != hb:
+        return -1 if ha < hb else 1
+    c = _cross(a, b)
+    return -1 if c > 0 else 1
+
+
+AXES = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@st.composite
+def _direction_sets(draw):
+    """Primitive directions: random ones, the axes, antipodes, and
+    neighbouring slopes with components up to 10**12."""
+    coord = st.integers(-10 ** 6, 10 ** 6)
+    dirs = [
+        _primitive(x, y)
+        for x, y in draw(st.lists(st.tuples(coord, coord), max_size=12))
+        if (x, y) != (0, 0)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.one_of(st.integers(1, 50), st.integers(10 ** 11, 10 ** 12)))
+        dirs += [(n, 1), (n + 1, 1), (n, -1), (-n, 1), (1, n), (1, n + 1), (-1, -n)]
+    dirs += draw(st.lists(st.sampled_from(AXES), max_size=4))
+    if draw(st.booleans()):
+        dirs += [(-x, -y) for x, y in dirs]
+    return dirs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_direction_sets())
+# sets with no slope to scale: empty, every y 0, or only the axes
+@example([])
+@example([(1, 0)])
+@example([(-1, 0), (1, 0)])
+@example(AXES[::-1])
+def test_sort_directions_matches_comparator(dirs):
+    assert _sort_directions(dirs) == sorted(set(dirs), key=functools.cmp_to_key(_dir_cmp))
 
 
 # --- profile structure -----------------------------------------------------
@@ -737,6 +788,63 @@ def test_subfamily_counts_match_profile_on_edge_cases(members, kind, count):
     assert _assert_kernel_matches_oracle(fam)[-1] == count
 
 
+def _own_roots(polys, i, j):
+    """Pair (i, j)'s roots Z and -Z, Z the zeros of h_K for K = P_i - P_j."""
+    neg_j = tuple((-x, -y) for x, y in polys[j])
+    zeros = _walk_zeros(_walk_form(polys[i]), _walk_form(neg_j), 1)
+    return set(zeros) | {(-x, -y) for x, y in zeros}
+
+
+# one pair per contact case of K = P1 - P2, with its root count
+CONTACT_PAIRS = {
+    # 0 inside K
+    "overlapping": ((square(0, 0), square(0.25, 0.125)), 0),
+    "identical": ((square(0, 0), square(0, 0)), 0),
+    # 0 inside an edge of K
+    "vertex-on-edge": (
+        (square(0, 0), ConvexPolygon((("1/2", 0), (2, -1), (2, 1)))), 2),
+    "collinear-edges": ((square(0, 0), square(1, 0.5)), 2),
+    # 0 at a vertex of K, or outside K
+    "vertex-on-vertex": (
+        (ConvexPolygon(((-2, -1), (0, 0), (-2, 1))), ConvexPolygon(((0, 0), (3, -1), (3, 2)))),
+        4),
+    "separated": ((square(0, 0), square(3, 1)), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTACT_PAIRS))
+def test_pair_masks_on_every_contact_case(name):
+    pair, n_roots = CONTACT_PAIRS[name]
+    # a third member away from both gives the pair's mask something to AND
+    fam = PolygonFamily(pair + (square(1, 6),))
+    _, polys = fam._int_data
+    assert len(_own_roots(polys, 0, 1)) == n_roots
+    # the kernel against the every-element table and every subfamily's
+    # count against components(transversal_profile(...))
+    _assert_kernel_matches_oracle(fam)
+
+
+@pytest.mark.parametrize("drop", [0, -1], ids=["first", "last"])
+def test_pair_masks_raise_on_a_dropped_zero(monkeypatch, drop):
+    # every pair of the family has 4 roots; a walk that loses one zero
+    # leaves 2, and the pair then fails on one side of them only
+    fam = PolygonFamily(tuple(
+        ConvexPolygon(((x, y), (x + 2, y + 1), (x + 1, y + 3))) for x, y in [(0, 0), (5, 1), (1, 8)]
+    ))
+    _, polys = fam._int_data
+    assert all(len(_own_roots(polys, i, j)) == 4 for i, j in [(0, 1), (0, 2), (1, 2)])
+    walk = transversal_plane._walk_zeros
+
+    def mutant(f_form, g_form, sign):
+        zeros = walk(f_form, g_form, sign)
+        del zeros[drop]
+        return zeros
+
+    monkeypatch.setattr(transversal_plane, "_walk_zeros", mutant)
+    with pytest.raises(InvariantViolation, match="2 roots"):
+        _pair_masks(fam)
+
+
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
@@ -905,6 +1013,25 @@ def test_vertex_counts_in_range():
     for _ in range(30):
         poly = random_convex_polygon(rng, (0, 0), 1.0, rng.randint(3, 16))
         assert 3 <= len(poly.vertices) <= 16
+
+
+def test_generated_polygons_pass_the_checking_constructor():
+    # generated hulls skip ConvexPolygon's check; every one must pass it
+    # and come out the same
+    def check(poly):
+        checked = ConvexPolygon(poly.vertices)
+        assert checked == poly
+        assert repr(checked.vertices) == repr(poly.vertices)
+
+    for seed in range(200):
+        rng = random.Random(f"checked-polygons:{seed}")
+        for n in range(3, 17):
+            check(random_convex_polygon(rng, (rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                                        rng.uniform(0.5, 2.0), n))
+        for poly in random_disjoint_pair(seed):
+            check(poly)
+        for poly in random_stabbed_family(6, seed, jitter=0.05 + seed % 12 * 0.1).members:
+            check(poly)
 
 
 # SHA-256 of the vertex tuples `_generator_draws` yields.  The sweep
