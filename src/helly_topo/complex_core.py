@@ -105,10 +105,6 @@ class _Index:
         """Number of k-simplices in mask."""
         return (mask & self.dim_masks[k]).bit_count() if 0 <= k < len(self.dim_masks) else 0
 
-    def of_dim(self, mask: int, k: int) -> list:
-        """The k-simplices of mask, sorted."""
-        return list(_select(self.order, mask & self.dim_masks[k])) if 0 <= k < len(self.dim_masks) else []
-
 
 @dataclass(frozen=True)
 class SimplicialComplex:
@@ -380,4 +376,8 @@ def parse_family(text: str) -> SubcomplexFamily:
 
 def load_family(path) -> SubcomplexFamily:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"family file is not valid UTF-8: {exc}") from exc
+    return parse_family(text)

@@ -299,7 +299,6 @@ class SweepReport:
     seed: int
     generator: object  # dict, or None
     params: dict
-    total: int
     hypotheses_satisfied: int
     conclusion_held: int
     conclusion_violated: int
@@ -313,7 +312,7 @@ class SweepReport:
             "seed": self.seed,
             "params": self.params,
             "counts": {
-                "total": self.total,
+                "total": self.trials,
                 "hypotheses_satisfied": self.hypotheses_satisfied,
                 "conclusion_held": self.conclusion_held,
                 "conclusion_violated": self.conclusion_violated,
@@ -367,7 +366,6 @@ def tally_sweep(theorem: str, trials: int, seed: int, params: dict, trial,
         seed=seed,
         generator=generator,
         params=params,
-        total=trials,
         hypotheses_satisfied=satisfied,
         conclusion_held=held,
         conclusion_violated=violated,

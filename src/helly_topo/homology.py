@@ -67,37 +67,28 @@ class BettiVector:
         }
 
 
-def _simplices_by_dim(cx) -> dict:
-    by = {}
-    for s in cx.simplices:
-        by.setdefault(len(s) - 1, []).append(s)
-    return {k: sorted(v) for k, v in by.items()}
+def _dim_mask(index, mask: int, k: int) -> int:
+    """The k-simplices of mask (none outside the index's dimensions)."""
+    return mask & index.dim_masks[k] if 0 <= k < len(index.dim_masks) else 0
 
 
-def _signed_boundary(lower, uppers):
-    """Incidence matrix with the usual alternating signs; rows follow `lower`."""
-    idx = {s: i for i, s in enumerate(lower)}
-    mat = [[0] * len(uppers) for _ in lower]
-    for j, s in enumerate(uppers):
-        sign = 1
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            mat[idx[face]][j] = sign
+def _signed_boundary(index, mask: int, k: int) -> list:
+    """Signed boundary matrix of the mask's k-simplices, read from the index.
+
+    Rows are the mask's (k-1)-simplices and columns its k-simplices, both in
+    index order.  A k-simplex's facets in increasing bit order drop vertex
+    k, k-1, ..., 0, so their signs alternate starting from (-1)^k.
+    """
+    bits = range(len(index.order))
+    row = {b: r for r, b in enumerate(_select(bits, _dim_mask(index, mask, k - 1)))}
+    cols = list(_select(bits, _dim_mask(index, mask, k)))
+    mat = [[0] * len(cols) for _ in row]
+    for j, i in enumerate(cols):
+        sign = (-1) ** k
+        for f in _select(bits, index.facets[i]):
+            mat[row[f]][j] = sign
             sign = -sign
     return mat
-
-
-def _gf2_columns(lower, uppers):
-    """Boundary columns as row-index bitmasks (signs are irrelevant mod 2)."""
-    idx = {s: i for i, s in enumerate(lower)}
-    cols = []
-    for s in uppers:
-        mask = 0
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            mask |= 1 << idx[face]
-        cols.append(mask)
-    return cols
 
 
 def _rank_gf2_columns(cols) -> int:
@@ -144,12 +135,12 @@ def _rank_bareiss(mat) -> int:
     return rank
 
 
-def _boundary_rank(lower, uppers, field: CoefficientField) -> int:
-    if not lower or not uppers:
-        return 0
+def _boundary_rank(index, mask: int, k: int, field: CoefficientField) -> int:
+    """Rank of the boundary map from the mask's k-chains.  Over GF(2) each
+    k-simplex's facet mask is its column: rows outside the mask stay zero."""
     if field is GF2:
-        return _rank_gf2_columns(_gf2_columns(lower, uppers))
-    return _rank_bareiss(_signed_boundary(lower, uppers))
+        return _rank_gf2_columns(_select(index.facets, _dim_mask(index, mask, k)))
+    return _rank_bareiss(_signed_boundary(index, mask, k))
 
 
 def _component_count(cx) -> int:
@@ -180,22 +171,22 @@ def _component_count(cx) -> int:
 
 
 def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
-    """Reduced Betti vector of a complex or subcomplex.
+    """Reduced Betti vector of a complex or subcomplex, every rank eliminated
+    from the ambient's index.
 
     b_0 is independently cross-checked against a graph search of the
     1-skeleton on every call.
     """
-    by = _simplices_by_dim(cx)
-    if not by:
+    ambient, mask, _ = _indexed(cx)
+    if not mask:
         return BettiVector(False, {}, field)
-    dim = max(by)
-    ranks = {}
-    for k in range(1, dim + 1):
-        ranks[k] = _boundary_rank(by.get(k - 1, []), by.get(k, []), field)
-    ranks[dim + 1] = 0
-    betti = {0: len(by[0]) - 1 - ranks.get(1, 0)}
-    for k in range(1, dim + 1):
-        betti[k] = len(by.get(k, [])) - ranks[k] - ranks[k + 1]
+    index = ambient._index
+    counts = [index.count(mask, k) for k in range(len(index.dim_masks))]
+    while not counts[-1]:
+        counts.pop()
+    # rank 1 for the augmentation C_0 -> Z, rank 0 above the top dimension
+    ranks = [1] + [_boundary_rank(index, mask, k, field) for k in range(1, len(counts))] + [0]
+    betti = {k: n - ranks[k] - ranks[k + 1] for k, n in enumerate(counts)}
     comps = _component_count(cx)
     if betti[0] + 1 != comps:
         raise InvariantViolation(
@@ -273,7 +264,7 @@ def _rank(ambient, mask, k: int, field: CoefficientField, parts) -> int:
         return index.count(mask, 0) - _components(index, mask, parts)
     if k == ambient.dimension and _top_boundary_injective(ambient):
         return n_k
-    return _boundary_rank(index.of_dim(mask, k - 1), index.of_dim(mask, k), field)
+    return _boundary_rank(index, mask, k, field)
 
 
 @lru_cache(maxsize=8)
@@ -285,5 +276,4 @@ def _top_boundary_injective(ambient) -> bool:
     """
     top = ambient.dimension
     _, mask, _ = _indexed(ambient)
-    uppers = ambient._index.of_dim(mask, top)
-    return _boundary_rank(ambient._index.of_dim(mask, top - 1), uppers, GF2) == len(uppers)
+    return _boundary_rank(ambient._index, mask, top, GF2) == ambient._index.count(mask, top)

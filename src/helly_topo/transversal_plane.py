@@ -1074,7 +1074,11 @@ def parse_polygon_family(text: str) -> PolygonFamily:
 
 def load_polygon_family(path) -> PolygonFamily:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_polygon_family(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"polygon file is not valid UTF-8: {exc}") from exc
+    return parse_polygon_family(text)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_criterion_03_helly_sweep():
             satisfied[m] += rep.hypotheses_satisfied
             violations += rep.conclusion_violated
             failed_failed += rep.hypotheses_failed_conclusion_failed
-            total += rep.total
+            total += rep.trials
         cycles += 1
     elapsed = time.monotonic() - t0
     got = sum(satisfied.values())
@@ -106,7 +106,7 @@ def _collect_engine(tag, needed, chunk_trials, max_chunks, **kwargs):
         rep = sweep(tag, chunk_trials, seed=500 + chunks, **kwargs)
         satisfied += rep.hypotheses_satisfied
         violations += rep.conclusion_violated
-        total += rep.total
+        total += rep.trials
         chunks += 1
     return satisfied, violations, total
 
@@ -219,7 +219,7 @@ def test_criterion_09_theorem_321_sweep():
             retained += rep.hypotheses_satisfied
             held += rep.conclusion_held
             violations += rep.conclusion_violated
-            total += rep.total
+            total += rep.trials
         cycles += 1
     elapsed = time.monotonic() - t0
     assert retained >= 100, f"only {retained} retained instances"

@@ -123,6 +123,22 @@ def test_invalid_json_exits_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["verify", "helly"], "family"),
+    (["homology"], "family"),
+    (["verify", "thm-321"], "polygon"),
+    (["transversal", "components"], "polygon"),
+])
+def test_non_utf8_input_exits_three(tmp_path, capsys, argv, kind):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    code = main([*argv, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {kind} file is not valid UTF-8: ")
+
+
 def test_sweep_byte_identical(capsys):
     argv = ["sweep", "--theorem", "sigma", "--grid", "8", "--m", "3",
             "--growth", "25", "--trials", "15", "--seed", "42"]

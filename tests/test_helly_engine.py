@@ -350,10 +350,10 @@ def test_random_family_contract_checks():
 
 def test_sweep_counts_are_consistent():
     rep = sweep("sigma", 40, grid_n=8, m=3, growth_steps=30, seed=5)
-    assert rep.total == 40
+    assert rep.trials == 40
     assert rep.hypotheses_satisfied == rep.conclusion_held + rep.conclusion_violated
     assert rep.conclusion_violated == 0
-    assert rep.hypotheses_failed_conclusion_failed <= rep.total - rep.hypotheses_satisfied
+    assert rep.hypotheses_failed_conclusion_failed <= rep.trials - rep.hypotheses_satisfied
 
 
 def test_sweep_matches_individual_verdicts():

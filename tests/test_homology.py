@@ -12,6 +12,7 @@ from helly_topo import homology
 from helly_topo.cli import main
 from helly_topo.complex_core import (
     Subcomplex,
+    _select,
     build_complex,
     face_closure,
     grid_complex,
@@ -28,6 +29,7 @@ from helly_topo.homology import (
     _boundary_rank,
     _component_count,
     _components,
+    _indexed,
     _signed_boundary,
     _top_boundary_injective,
     reduced_betti,
@@ -52,40 +54,65 @@ def test_projective_plane_distinguishes_fields():
     assert reduced_betti(cx, GF2).betti != reduced_betti(cx, RATIONALS).betti
 
 
+def _matrices(cx, k):
+    """The signed boundary matrix of cx's k-simplices and its rank over each field."""
+    ambient, mask, _ = _indexed(cx)
+    index = ambient._index
+    return (_signed_boundary(index, mask, k),
+            [_boundary_rank(index, mask, k, field) for field in (GF2, RATIONALS)])
+
+
 def test_boundary_matrix_triangle_rank():
-    verts = [(0,), (1,), (2,)]
-    edges = [(0, 1), (0, 2), (1, 2)]
-    mat = _signed_boundary(verts, edges)
-    assert mat == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
-    for field in (GF2, RATIONALS):
-        assert _boundary_rank(verts, edges, field) == 2
+    # rows (0), (1), (2) and (0, 1), (0, 2), (1, 2): d(ab) = b - a, d(abc) = bc - ac + ab
+    solid = build_complex([[0, 1, 2]])
+    assert _matrices(solid, 1) == ([[-1, -1, 0], [1, 0, -1], [0, 1, 1]], [2, 2])
+    assert _matrices(solid, 2) == ([[1], [-1], [1]], [1, 1])
 
 
 def test_boundary_matrix_above_dimension_has_no_columns():
-    edges = [(0, 1), (0, 2), (1, 2)]
-    assert _signed_boundary(edges, []) == [[], [], []]
-    for field in (GF2, RATIONALS):
-        assert _boundary_rank(edges, [], field) == 0
+    circle = build_complex([[0, 1], [0, 2], [1, 2]])
+    assert _matrices(circle, 2) == ([[], [], []], [0, 0])
+    assert _matrices(circle, 3) == ([], [0, 0])
 
 
 def test_boundary_matrix_augmentation():
     # a lone vertex: no boundary into degree -1 is ranked, so reduced b0 = 0
+    point = build_complex([[0]])
+    assert _matrices(point, 0) == ([], [0, 0])
+    assert _matrices(point, 1) == ([[]], [0, 0])
     for field in (GF2, RATIONALS):
-        assert _boundary_rank([(0,)], [], field) == 0
-        assert reduced_betti(build_complex([[0]]), field).betti == {0: 0}
+        assert reduced_betti(point, field).betti == {0: 0}
+
+
+def _sparse(cx):
+    """cx under an injective, order-reversing vertex relabelling with large gaps."""
+    verts = sorted(v for (v,) in (s for s in cx.simplices if len(s) == 1))
+    label = {v: 3 + 41 * (len(verts) - i) for i, v in enumerate(verts)}
+    return build_complex([[label[v] for v in s] for s in cx.simplices],
+                         cx.declared_embedding_dim)
 
 
 def test_boundary_matrix_squares_to_zero():
-    cx = build_complex([[0, 1, 2], [1, 2, 3]])
-    verts, edges, tris = (sorted(s for s in cx.simplices if len(s) == n) for n in (1, 2, 3))
-    d1 = _signed_boundary(verts, edges)
-    d2 = _signed_boundary(edges, tris)
-    for i in range(len(verts)):
-        for j in range(len(tris)):
-            assert sum(d1[i][k] * d2[k][j] for k in range(len(edges))) == 0
-    for field in (GF2, RATIONALS):
-        assert _boundary_rank(verts, edges, field) == 3
-        assert _boundary_rank(edges, tris, field) == 2
+    spaces = [cx for cx, _, _ in known_spaces().values()]
+    spaces += [_sparse(cx) for cx in spaces]
+    spaces += [build_complex([[0, 1, 2], [1, 2, 3]]), grid_complex(4)]
+    composed = 0
+    for cx in spaces:
+        ambient, mask, _ = _indexed(cx)
+        index = ambient._index
+        for k in range(1, cx.dimension):
+            lower = _signed_boundary(index, mask, k)
+            upper = _signed_boundary(index, mask, k + 1)
+            for row in lower:
+                for j in range(len(upper[0])):
+                    assert sum(row[i] * upper[i][j] for i in range(len(upper))) == 0
+            # over GF(2) the facets of a (k+1)-simplex's facets cancel in pairs
+            for facets in _select(index.facets, index.dim_masks[k + 1]):
+                assert functools.reduce(operator.xor, _select(index.facets, facets), 0) == 0
+            composed += 1
+    assert composed == 2 * 5 + 2  # five known spaces of dimension 2, twice
+    assert _matrices(spaces[-2], 1)[1] == [3, 3]
+    assert _matrices(spaces[-2], 2)[1] == [2, 2]
 
 
 def is_n_acyclic(cx, n: int, field=GF2) -> bool:
@@ -174,11 +201,6 @@ def test_betti_number_matches_oracle_on_known_spaces(name):
             _assert_betti_number_matches_oracle(sub)
 
 
-def _relabel(cx, label):
-    return build_complex([[label[v] for v in s] for s in cx.simplices],
-                         cx.declared_embedding_dim)
-
-
 def test_betti_number_matches_oracle_on_sparse_vertex_ids():
     # vertex bits are positions in the sorted vertex list, not vertex ids
     gappy = build_complex([[3, 17, 40], [17, 40, 41], [41, 90], [90, 3], [500]])
@@ -187,16 +209,29 @@ def test_betti_number_matches_oracle_on_sparse_vertex_ids():
     for sub in _subcomplexes(gappy):
         _assert_betti_number_matches_oracle(sub)
     for name, (cx, _, _) in known_spaces().items():
-        verts = sorted(v for (v,) in (s for s in cx.simplices if len(s) == 1))
-        # an injective, order-reversing relabelling with large gaps
-        label = {v: 3 + 41 * (len(verts) - i) for i, v in enumerate(verts)}
-        sparse = _relabel(cx, label)
+        sparse = _sparse(cx)
         assert [reduced_betti(sparse, f).betti for f in (GF2, RATIONALS)] == \
             [reduced_betti(cx, f).betti for f in (GF2, RATIONALS)], name
         _assert_betti_number_matches_oracle(sparse)
         if any(len(s) == 3 for s in sparse.simplices):
             for sub in _subcomplexes(sparse):
                 _assert_betti_number_matches_oracle(sub)
+
+
+def test_subcomplex_betti_matches_standalone_complex():
+    # a subcomplex's boundary rows are its ambient's bits, a standalone
+    # complex's are its own: the Betti vectors must not depend on which
+    subs = []
+    for name in ("torus_7", "projective_plane_6", "annulus"):
+        subs += _subcomplexes(known_spaces()[name][0])
+    for seed in range(10):
+        fam = random_family(8, 3, 25, seed=seed)
+        subs += [*fam.members, union_members(fam, range(3)), intersect_members(fam, (0, 1))]
+    assert any(not sub.mask for sub in subs)
+    for sub in subs:
+        standalone = build_complex(sub.simplices, sub.parent.declared_embedding_dim)
+        for field in (GF2, RATIONALS):
+            assert reduced_betti(sub, field) == reduced_betti(standalone, field), field
 
 
 def test_projective_plane_minus_a_triangle_is_a_mobius_band():

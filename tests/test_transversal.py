@@ -901,7 +901,7 @@ def test_thm321_sweep_builds_no_profile(monkeypatch):
 
     monkeypatch.setattr(transversal_plane, "transversal_profile", no_profile)
     rep = sweep_transversal("thm-321", 6, seed=4, m=6)
-    assert rep.total == 6 and rep.conclusion_violated == 0
+    assert rep.trials == 6 and rep.conclusion_violated == 0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -1072,12 +1072,12 @@ def test_sweep_transversal_lemmas_have_no_violations():
     for tag in ("lemma-311", "lemma-312", "lemma-313"):
         rep = sweep_transversal(tag, 20, seed=6)
         assert rep.conclusion_violated == 0
-        assert rep.hypotheses_satisfied == rep.total
+        assert rep.hypotheses_satisfied == rep.trials
 
 
 def test_sweep_transversal_thm321_counts():
     rep = sweep_transversal("thm-321", 8, seed=6, m=6)
-    assert rep.total == 8
+    assert rep.trials == 8
     assert rep.hypotheses_satisfied == rep.conclusion_held + rep.conclusion_violated
     assert rep.conclusion_violated == 0
 
