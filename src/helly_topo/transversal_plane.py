@@ -16,7 +16,8 @@ polygon vertices themselves as coefficient pairs, every envelope transition
 or feasibility root happens at a direction perpendicular to a difference of
 two vertices, and evaluating a sinusoid at such a rational direction keeps
 a common positive irrational factor that cancels from every comparison.
-Vertex coordinates are rationals, scaled once per family to integers.
+A polygon stores integer points over one positive scale, and a family
+rescales its members to their least common scale.
 
 Every such direction comes from a merge walk over two polygons' outward
 normals, linear in their vertex counts: the directions where two members'
@@ -143,56 +144,58 @@ def _angle(d) -> float:
 # ---------------------------------------------------------------------------
 # polygons
 
-def _denominator(verts) -> int:
-    """The least common denominator of rational vertices' coordinates."""
-    den = 1
-    for x, y in verts:
-        den = lcm(den, x.denominator, y.denominator)
-    return den
-
-
-def _scaled(verts, scale: int) -> tuple:
-    """Rational vertices times ``scale``, a common multiple of their
-    denominators, as integer pairs."""
-    return tuple(
-        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-        for x, y in verts
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConvexPolygon:
-    """An open bounded convex region, stored as a strictly convex CCW vertex
-    cycle with rational coordinates.  The region is the interior.
-    Generated hulls enter unchecked through `_from_hull`: `_convex_hull`
-    already returns a strictly convex CCW cycle, so the check cannot fail."""
+    """An open bounded convex region, stored as a strictly convex CCW cycle
+    of integer ``points`` over a positive ``scale`` in lowest terms: the
+    vertices are points / scale.  The region is the interior.
 
-    vertices: tuple
+    ``ConvexPolygon(vertices)`` parses rational coordinates; generated
+    hulls enter through `_lattice`, and both run the one convexity check.
+    Lowest terms make the form canonical, so equal polygons are equal
+    vertex cycles."""
+
+    points: tuple
+    scale: int
+
+    def __init__(self, vertices):
+        verts = tuple((_to_fraction(x), _to_fraction(y)) for x, y in vertices)
+        scale = lcm(*(c.denominator for v in verts for c in v))
+        self._set_lattice(tuple((int(x * scale), int(y * scale)) for x, y in verts), scale)
 
     @classmethod
-    def _from_hull(cls, vertices: tuple) -> "ConvexPolygon":
-        """A polygon from Fraction vertices that the caller guarantees are
-        a strictly convex CCW cycle."""
+    def _lattice(cls, points: tuple, scale: int) -> "ConvexPolygon":
+        """The polygon with vertices points / scale, for integer points."""
         self = object.__new__(cls)
-        object.__setattr__(self, "vertices", vertices)
+        self._set_lattice(points, scale)
         return self
 
-    def __post_init__(self):
-        verts = tuple((_to_fraction(x), _to_fraction(y)) for x, y in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        n = len(verts)
+    def _set_lattice(self, points: tuple, scale: int):
+        n = len(points)
         if n < 3:
             raise ValidationError("a polygon needs at least 3 vertices")
-        # turns of the numerators over one common denominator have the
-        # signs of the rational turns
-        pts = _scaled(verts, _denominator(verts))
+        # a common positive scale keeps the signs of the rational turns
         for i in range(n):
-            (ax, ay), (bx, by), (cx, cy) = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+            (ax, ay), (bx, by), (cx, cy) = points[i], points[(i + 1) % n], points[(i + 2) % n]
             if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) <= 0:
                 raise ValidationError(
                     "vertices must be strictly convex in counterclockwise order "
                     f"(violated at vertex {i + 1})"
                 )
+        g = gcd(scale, *itertools.chain.from_iterable(points))
+        if g > 1:
+            points, scale = tuple((x // g, y // g) for x, y in points), scale // g
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "scale", scale)
+
+
+def _at(poly: ConvexPolygon, scale: int) -> tuple:
+    """A polygon's vertices times ``scale``, a multiple of its own scale,
+    as integer pairs."""
+    if scale == poly.scale:
+        return poly.points
+    k = scale // poly.scale
+    return tuple((x * k, y * k) for x, y in poly.points)
 
 
 @dataclass(frozen=True)
@@ -218,10 +221,9 @@ class PolygonFamily:
 
     @functools.cached_property
     def _int_data(self):
-        """Common denominator scale and all-integer vertex lists."""
-        scale = _denominator(v for poly in self.members for v in poly.vertices)
-        scaled = tuple(_scaled(poly.vertices, scale) for poly in self.members)
-        return scale, scaled
+        """The members' least common scale and their vertices times it."""
+        scale = lcm(*(poly.scale for poly in self.members))
+        return scale, tuple(_at(poly, scale) for poly in self.members)
 
 
 def _walk_form(verts) -> tuple:
@@ -720,7 +722,7 @@ def sample_oracle(family: PolygonFamily, resolution: int) -> ComponentSummary:
         # one row of support values per vertex, reduced column-wise
         rows = [
             [x * c + y * s for c, s in zip(cs, sn)]
-            for x, y in ((float(x), float(y)) for x, y in poly.vertices)
+            for x, y in ((x / poly.scale, y / poly.scale) for x, y in poly.points)
         ]
         upper = list(map(min, upper, map(max, *rows)))
         lower = list(map(max, lower, map(min, *rows)))
@@ -763,9 +765,8 @@ def _interiors_overlap(verts_a, verts_b) -> bool:
 
 
 def polygons_disjoint(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    fam = PolygonFamily((a, b), ("a", "b"))
-    _, scaled = fam._int_data
-    return not _interiors_overlap(scaled[0], scaled[1])
+    scale = lcm(a.scale, b.scale)
+    return not _interiors_overlap(_at(a, scale), _at(b, scale))
 
 
 def disjointness_class(family: PolygonFamily) -> str:
@@ -953,20 +954,11 @@ def random_convex_polygon(rng: random.Random, center, radius: float,
             x = cx + rr * math.cos(ang)
             y = cy + rr * math.sin(ang)
             pts.append((round(x * _GRID), round(y * _GRID)))
-        # on one grid the integer numerators order and turn as the rationals do
+        # on one grid the integer points order and turn as the rationals do
         hull = _convex_hull(pts)
         if len(hull) >= 3:
-            return ConvexPolygon._from_hull(
-                tuple((Fraction(a, _GRID), Fraction(b, _GRID)) for a, b in hull)
-            )
+            return ConvexPolygon._lattice(tuple(hull), _GRID)
     raise GenerationFailure("could not build a non-degenerate polygon")
-
-
-def _on_grid(poly: ConvexPolygon) -> tuple:
-    """Integer vertices of a `random_convex_polygon` output, scaled by
-    _GRID; interior overlap tests do not change under a common positive
-    scaling."""
-    return _scaled(poly.vertices, _GRID)
 
 
 def _placement_ok(candidate, existing) -> bool:
@@ -990,8 +982,8 @@ def random_disjoint_pair(seed: int) -> tuple:
                                   rng.randint(3, 16))
         ang = rng.uniform(0.0, TWO_PI)
         dist = (r1 + r2) * rng.uniform(1.05, 3.0)
-        ax = sum(float(x) for x, _ in a.vertices) / len(a.vertices)
-        ay = sum(float(y) for _, y in a.vertices) / len(a.vertices)
+        ax = sum(x / a.scale for x, _ in a.points) / len(a.points)
+        ay = sum(y / a.scale for _, y in a.points) / len(a.points)
         b = random_convex_polygon(
             rng, (ax + dist * math.cos(ang), ay + dist * math.sin(ang)), r2,
             rng.randint(3, 16)
@@ -1022,7 +1014,7 @@ def random_stabbed_family(m: int, seed: int, jitter: float = 0.4) -> PolygonFami
             center = (along * ux + off * px, along * uy + off * py)
             radius = _STAB_SIZE * rng.uniform(0.55, 1.0)
             poly = random_convex_polygon(rng, center, radius, rng.randint(*_STAB_POINTS))
-            verts = _on_grid(poly)
+            verts = _at(poly, _GRID)
             if _placement_ok(verts, scaled):
                 members.append(poly)
                 scaled.append(verts)
@@ -1039,8 +1031,8 @@ def parse_polygon_family(text: str) -> PolygonFamily:
     """Parse the JSON polygon family format.
 
     Schema: {"members": [{"label": str, "vertices": [[x, y], ...]}, ...]}
-    with CCW vertices; coordinates may be numbers, 'p/q' strings, or exact
-    decimal strings.
+    with CCW vertices, each a two-element list; coordinates may be numbers,
+    'p/q' strings, or exact decimal strings.
     """
     import json
 
@@ -1061,10 +1053,13 @@ def parse_polygon_family(text: str) -> PolygonFamily:
         label = entry["label"]
         if not isinstance(label, str):
             raise ValidationError(f"member #{pos} label must be a string")
+        verts = entry["vertices"]
+        if not isinstance(verts, list) or not all(
+            isinstance(v, list) and len(v) == 2 for v in verts
+        ):
+            raise ValidationError(f"member {label!r}: bad vertex list")
         try:
-            poly = ConvexPolygon(tuple((x, y) for x, y in entry["vertices"]))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"member {label!r}: bad vertex list") from exc
+            poly = ConvexPolygon(verts)
         except ValidationError as exc:
             raise ValidationError(f"member {label!r}: {exc}") from exc
         members.append(poly)

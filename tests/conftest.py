@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,9 @@ from helly_topo.homology import GF2, reduced_betti
 from helly_topo.transversal_plane import (
     ConvexPolygon,
     PolygonFamily,
+    _GRID,
+    _at,
     _interiors_overlap,
-    _on_grid,
     _placement_ok,
     random_convex_polygon,
 )
@@ -162,6 +164,11 @@ def make_family(ambient, members):
     return SubcomplexFamily(ambient, tuple(members), labels)
 
 
+def vertices(poly):
+    """A polygon's vertices as a tuple of Fraction pairs."""
+    return tuple((Fraction(x, poly.scale), Fraction(y, poly.scale)) for x, y in poly.points)
+
+
 def square(cx, cy, half=0.5):
     """Axis-aligned open square polygon centered at (cx, cy)."""
     return ConvexPolygon(
@@ -219,7 +226,7 @@ def random_polygon_family(m: int, box=(-8.0, 8.0, -8.0, 8.0), size_range=(0.5, 1
         radius = rng.uniform(*size_range)
         n_points = rng.randint(*n_points_range)
         poly = random_convex_polygon(rng, (cx, cy), radius, n_points)
-        verts = _on_grid(poly)
+        verts = _at(poly, _GRID)
         if _placement_allowed(verts, scaled, disjointness):
             members.append(poly)
             scaled.append(verts)

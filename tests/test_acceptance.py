@@ -165,7 +165,7 @@ def test_criterion_06_lemma_311_sweep():
             rng.randint(3, 16),
         )
         verdict = verify_transversal("lemma-311", PolygonFamily((poly,)))
-        assert verdict.passed, poly.vertices
+        assert verdict.passed, poly
         assert verdict.summary.betti() == {"nonempty": True, "b0": 0, "b1": 1}
         passes += 1
     assert passes == 200

@@ -265,3 +265,20 @@ def test_theorem_tags_partition_the_two_tables():
     for tag in THEOREM_TAGS:
         assert (tag in THEOREMS) != (tag in TRANSVERSALS), tag
     assert sorted(THEOREM_TAGS) == sorted([*THEOREMS, *TRANSVERSALS])
+
+
+@pytest.mark.parametrize("argv", [["transversal", "components"], ["verify", "lemma-311"]])
+@pytest.mark.parametrize(
+    "verts",
+    # each would unpack to the triangle (1, 0), (3, 2), (0, 1)
+    [["10", "32", "01"], {"10": [0, 0], "32": [0, 0], "01": [0, 0]}],
+    ids=["two-character-strings", "object"],
+)
+def test_polygon_vertices_must_be_coordinate_pairs(tmp_path, capsys, argv, verts):
+    path = tmp_path / "polys.json"
+    path.write_text(json.dumps({"members": [{"label": "a", "vertices": verts}]}))
+    code = main([*argv, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "input error: member 'a': bad vertex list\n"

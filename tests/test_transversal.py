@@ -51,7 +51,7 @@ from helly_topo.transversal_plane import (
     verify_transversal,
 )
 
-from conftest import random_polygon_family, square, subfamily
+from conftest import random_polygon_family, square, subfamily, vertices
 
 
 UNIT_SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -62,7 +62,7 @@ def support_interval(polygon: ConvexPolygon, theta: float):
     polygon: the open interval (low, high) of vertex projections.  A float
     oracle for the exact support sinusoids."""
     ux, uy = math.cos(theta), math.sin(theta)
-    dots = [float(x) * ux + float(y) * uy for x, y in polygon.vertices]
+    dots = [float(x) * ux + float(y) * uy for x, y in vertices(polygon)]
     return min(dots), max(dots)
 
 
@@ -86,8 +86,8 @@ def test_polygon_rejects_collinear():
 
 def test_polygon_accepts_rational_strings():
     poly = ConvexPolygon((("1/2", 0), ("3/2", "0.5"), ("1/2", 1)))
-    assert poly.vertices[0] == (Fraction(1, 2), Fraction(0))
-    assert poly.vertices[1] == (Fraction(3, 2), Fraction(1, 2))
+    assert vertices(poly)[0] == (Fraction(1, 2), Fraction(0))
+    assert vertices(poly)[1] == (Fraction(3, 2), Fraction(1, 2))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
@@ -146,17 +146,33 @@ def _vertex_cycles(draw):
     return verts[shift % len(verts):] + verts[:shift % len(verts)] if verts else verts
 
 
+def _lattice_points(verts, factor=1):
+    """Integer points over a scale for rational vertices: the least common
+    denominator times ``factor``, a factor the points then share."""
+    scale = math.lcm(*(c.denominator for v in verts for c in v)) * factor
+    return tuple((int(x * scale), int(y * scale)) for x, y in verts), scale
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_vertex_cycles())
-def test_polygon_check_matches_fraction_turns(verts):
+@given(_vertex_cycles(), st.integers(1, 12))
+# points (0, 0), (6, 0), (0, 6) over 12 reduce to (0, 0), (1, 0), (0, 1) over 2
+@example([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))], 6)
+def test_polygon_check_matches_fraction_turns(verts, factor):
     expected = _fraction_turn_error(verts)
-    try:
-        poly = ConvexPolygon(tuple(verts))
-    except ValidationError as exc:
-        assert str(exc) == expected
-    else:
-        assert expected is None
-        assert poly.vertices == tuple((Fraction(x), Fraction(y)) for x, y in verts)
+    # parsed rationals, and the same cycle handed to the lattice
+    # constructor as integer points over a scale they share a factor with
+    for build in (lambda: ConvexPolygon(tuple(verts)),
+                  lambda: ConvexPolygon._lattice(*_lattice_points(verts, factor))):
+        try:
+            poly = build()
+        except ValidationError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert vertices(poly) == tuple((Fraction(x), Fraction(y)) for x, y in verts)
+            assert poly == ConvexPolygon(tuple(verts))
+            assert hash(poly) == hash(ConvexPolygon(tuple(verts)))
+            assert math.gcd(poly.scale, *(c for p in poly.points for c in p)) == 1
 
 
 def test_support_interval_unit_square():
@@ -229,7 +245,7 @@ def test_single_square_profile_full_circle():
 
 
 def test_duplicate_member_is_idempotent():
-    copy = ConvexPolygon(UNIT_SQUARE.vertices)
+    copy = ConvexPolygon(vertices(UNIT_SQUARE))
     one = components(transversal_profile(PolygonFamily((UNIT_SQUARE,))))
     two = components(transversal_profile(PolygonFamily((UNIT_SQUARE, copy), ("a", "b"))))
     assert one.component_count == two.component_count
@@ -929,7 +945,7 @@ def _affine_image(fam, shear, turns, shift):
     members = []
     for poly in fam.members:
         verts = []
-        for x, y in poly.vertices:
+        for x, y in vertices(poly):
             x, y = x + shear * y, y
             for _ in range(turns):
                 x, y = -y, x
@@ -959,6 +975,37 @@ def test_affine_maps_preserve_counts(seed, jitter, shear, turns, shift):
     assert after.conclusion_holds == before.conclusion_holds
 
 
+def _int_data_oracle(family):
+    """`PolygonFamily._int_data` in Fraction arithmetic: the least common
+    denominator of every vertex coordinate, and each vertex times it."""
+    verts = [vertices(poly) for poly in family.members]
+    scale = 1
+    for x, y in itertools.chain.from_iterable(verts):
+        scale = math.lcm(scale, x.denominator, y.denominator)
+    return scale, tuple(
+        tuple((int(x * scale), int(y * scale)) for x, y in poly) for poly in verts
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    shear=st.integers(-3, 3),
+    turns=st.integers(0, 3),
+    shift=st.tuples(
+        st.fractions(-20, 20, max_denominator=12), st.fractions(-20, 20, max_denominator=12)
+    ),
+    cut=st.integers(0, 6),
+)
+def test_int_data_matches_fraction_rescaling(seed, shear, turns, shift, cut):
+    fam = random_stabbed_family(6, seed, jitter=0.4)
+    image = _affine_image(fam, shear, turns, shift)
+    # original members before the cut and shifted ones after it
+    mixed = PolygonFamily(fam.members[:cut] + image.members[cut:])
+    for family in (image, mixed):
+        assert family._int_data == _int_data_oracle(family)
+
+
 def test_theorem_321_requires_six_members():
     fam = PolygonFamily(tuple(square(3 * i, 0) for i in range(5)))
     with pytest.raises(ContractViolation):
@@ -981,7 +1028,7 @@ def test_random_polygon_family_pairwise_disjoint():
 def test_random_polygon_family_deterministic():
     a = random_polygon_family(3, seed=12)
     b = random_polygon_family(3, seed=12)
-    assert [p.vertices for p in a.members] == [p.vertices for p in b.members]
+    assert a.members == b.members
 
 
 def test_random_polygon_family_impossible_request():
@@ -1012,16 +1059,16 @@ def test_vertex_counts_in_range():
     rng = random.Random("vertex-count")
     for _ in range(30):
         poly = random_convex_polygon(rng, (0, 0), 1.0, rng.randint(3, 16))
-        assert 3 <= len(poly.vertices) <= 16
+        assert 3 <= len(poly.points) <= 16
 
 
 def test_generated_polygons_pass_the_checking_constructor():
-    # generated hulls skip ConvexPolygon's check; every one must pass it
-    # and come out the same
+    # generated hulls pass the lattice constructor's check; parsing their
+    # rational vertices must give the same polygon
     def check(poly):
-        checked = ConvexPolygon(poly.vertices)
+        checked = ConvexPolygon(vertices(poly))
         assert checked == poly
-        assert repr(checked.vertices) == repr(poly.vertices)
+        assert repr(checked) == repr(poly)
 
     for seed in range(200):
         rng = random.Random(f"checked-polygons:{seed}")
@@ -1060,7 +1107,7 @@ def test_generator_draws_are_pinned():
     digest = hashlib.sha256()
     for polys in _generator_draws():
         for poly in polys:
-            digest.update(repr(poly.vertices).encode())
+            digest.update(repr(vertices(poly)).encode())
         digest.update(b";")
     assert digest.hexdigest() == GENERATOR_DRAWS_SHA256
 
@@ -1097,12 +1144,17 @@ def test_parse_polygon_family():
     text = """
     {"members": [
       {"label": "P1", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
-      {"label": "P2", "vertices": [["5/2", 0], ["7/2", 0], ["7/2", 1], ["5/2", 1]]}
+      {"label": "P2", "vertices": [["5/2", 0], ["7/2", 0], ["7/2", 1], ["5/2", 1]]},
+      {"label": "P3", "vertices": [["1/3", 4], ["2/3", 4], ["1/3", "13/3"]]},
+      {"label": "P4", "vertices": [[8, "0.25"], ["9.5", "0.25"], [8, 2]]}
     ]}
     """
     fam = parse_polygon_family(text)
-    assert fam.size == 2
-    assert fam.members[1].vertices[0] == (Fraction(5, 2), Fraction(0))
+    assert fam.size == 4
+    assert vertices(fam.members[1])[0] == (Fraction(5, 2), Fraction(0))
+    assert [poly.scale for poly in fam.members] == [1, 2, 3, 4]
+    assert fam._int_data[0] == 12
+    assert fam._int_data == _int_data_oracle(fam)
 
 
 def test_parse_polygon_family_rejects_bad_input():
