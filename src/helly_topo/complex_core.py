@@ -112,8 +112,10 @@ class SimplicialComplex:
 
     ``declared_embedding_dim`` is the caller's promise that every
     subcomplex carries no homology in degrees >= that value.  The built-in
-    planar grid ambients guarantee it with value 2; user-supplied complexes
-    carry it as a declaration that reports merely echo.
+    planar grid ambients guarantee it with value 2.  A declaration above
+    the complex's dimension holds; one equal to it holds iff the top
+    boundary map is injective, which `run_verifier` checks for the rows
+    that read it.
 
     Every simplex must be in ``as_simplex`` normal form and the set must be
     face-closed; construction checks both and builds ``_index``.

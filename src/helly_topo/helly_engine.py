@@ -28,7 +28,7 @@ from .complex_core import (
     union_members,
 )
 from .errors import ContractViolation
-from .homology import GF2, CoefficientField, betti_number, reduced_betti
+from .homology import GF2, CoefficientField, _top_boundary_injective, betti_number, reduced_betti
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,21 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
     """Evaluate a THEOREMS row: the hypothesis ledger, one entry per
     (subfamily, degree) pair in block order, then the conclusion."""
     row = _theorem(theorem)
+    dim = family.ambient.dimension
     if row.param == "d":
+        declared = family.ambient.declared_embedding_dim
         if d <= 0:
             raise ContractViolation("d must be positive")
-        if family.ambient.declared_embedding_dim > d:
+        if declared > d:
             raise ContractViolation(
-                f"ambient declared embedding dimension {family.ambient.declared_embedding_dim} "
-                f"exceeds d={d}"
+                f"ambient declared embedding dimension {declared} exceeds d={d}"
+            )
+        # a subcomplex's top cycles are the ambient's: the declaration holds
+        # at the ambient's own dimension iff the ambient has none
+        if declared == dim and not _top_boundary_injective(family.ambient, field):
+            raise ContractViolation(
+                f"ambient declared embedding dimension {declared} is false: the ambient "
+                f"has a nonzero {dim}-cycle over {field.value}"
             )
     m = family.size
     p = lam if row.param == "lambda" else d
@@ -190,7 +198,6 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
         raise ContractViolation(f"family size must be >= {row.min_size(p)}")
     if row.param == "lambda" and lam < 0:
         raise ContractViolation("lambda must be >= 0")
-    dim = family.ambient.dimension
     entries = []
     for kind, sizes, degree_of in row.hypotheses:
         for j in sizes(m, p):

@@ -6,8 +6,11 @@ degree -1 homology, encoded as ``nonempty=False`` rather than a numeric
 Betti entry).  A complex is connected exactly when its reduced b_0 is 0,
 which makes the empty complex vacuously connected.
 
-Ranks are computed exactly: bitset Gaussian elimination over GF(2) and
-fraction-free (Bareiss) integer elimination for the rationals.
+Ranks are computed exactly by one column reduction, the one of persistent
+homology: each k-simplex's boundary is a sparse column read from the
+ambient's index, reduced by the stored pivots until its lowest row is new.
+Over GF(2) a column is a facet bitmask; over the rationals it maps facet
+bits to signs, and entries stay ints or Fractions.
 `betti_number` skips elimination where a rank identity holds (see
 `_rank`); `reduced_betti` always eliminates and is the oracle for it.  No
 floating point is used anywhere in this module.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 from .complex_core import Subcomplex, _select
@@ -72,25 +76,6 @@ def _dim_mask(index, mask: int, k: int) -> int:
     return mask & index.dim_masks[k] if 0 <= k < len(index.dim_masks) else 0
 
 
-def _signed_boundary(index, mask: int, k: int) -> list:
-    """Signed boundary matrix of the mask's k-simplices, read from the index.
-
-    Rows are the mask's (k-1)-simplices and columns its k-simplices, both in
-    index order.  A k-simplex's facets in increasing bit order drop vertex
-    k, k-1, ..., 0, so their signs alternate starting from (-1)^k.
-    """
-    bits = range(len(index.order))
-    row = {b: r for r, b in enumerate(_select(bits, _dim_mask(index, mask, k - 1)))}
-    cols = list(_select(bits, _dim_mask(index, mask, k)))
-    mat = [[0] * len(cols) for _ in row]
-    for j, i in enumerate(cols):
-        sign = (-1) ** k
-        for f in _select(bits, index.facets[i]):
-            mat[row[f]][j] = sign
-            sign = -sign
-    return mat
-
-
 def _rank_gf2_columns(cols) -> int:
     pivots = {}
     rank = 0
@@ -106,32 +91,42 @@ def _rank_gf2_columns(cols) -> int:
     return rank
 
 
-def _rank_bareiss(mat) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+def _rank_q_columns(index, mask: int, k: int) -> int:
+    """Rank over the rationals of the boundary map from the mask's k-chains,
+    by the column reduction of `_rank_gf2_columns` on sparse columns.
+
+    A k-simplex's column maps each facet bit to its sign: its facets in
+    increasing bit order drop vertex k, k-1, ..., 0, so their signs
+    alternate starting from (-1)^k.  A column is reduced by the stored pivot
+    whose lowest row is its own, and each pivot is stored scaled to lead
+    with 1, so entries stay ints except where a lead is not +-1.
+    """
+    bits = range(len(index.order))
+    pivots = {}
     rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * pv - f * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pv
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
+    for facets in _select(index.facets, _dim_mask(index, mask, k)):
+        col = {}
+        sign = (-1) ** k
+        for f in _select(bits, facets):
+            col[f] = sign
+            sign = -sign
+        while col:
+            low = max(col)
+            p = pivots.get(low)
+            if p is None:
+                lead = col[low]
+                if lead != 1:
+                    col = {r: -v if lead == -1 else Fraction(v, lead) for r, v in col.items()}
+                pivots[low] = col
+                rank += 1
+                break
+            c = col[low]
+            for r, v in p.items():
+                w = col.get(r, 0) - c * v
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
     return rank
 
 
@@ -140,7 +135,7 @@ def _boundary_rank(index, mask: int, k: int, field: CoefficientField) -> int:
     k-simplex's facet mask is its column: rows outside the mask stay zero."""
     if field is GF2:
         return _rank_gf2_columns(_select(index.facets, _dim_mask(index, mask, k)))
-    return _rank_bareiss(_signed_boundary(index, mask, k))
+    return _rank_q_columns(index, mask, k)
 
 
 def _component_count(cx) -> int:
@@ -268,12 +263,15 @@ def _rank(ambient, mask, k: int, field: CoefficientField, parts) -> int:
 
 
 @lru_cache(maxsize=8)
-def _top_boundary_injective(ambient) -> bool:
-    """Whether the ambient's top boundary map has trivial kernel.
+def _top_boundary_injective(ambient, field: CoefficientField = GF2) -> bool:
+    """Whether the ambient's top boundary map has trivial kernel over field.
 
-    Decided over GF(2), which also settles the rationals: a full-rank
-    boundary mod 2 has an odd maximal minor, a nonzero integer.
+    Injective over GF(2) settles the rationals too: a full-rank boundary
+    mod 2 has an odd maximal minor, a nonzero integer.  So the rationals
+    eliminate only where GF(2) finds a top cycle, as on RP^2.
     """
+    if field is not GF2 and _top_boundary_injective(ambient):
+        return True
     top = ambient.dimension
     _, mask, _ = _indexed(ambient)
-    return _boundary_rank(ambient._index, mask, top, GF2) == ambient._index.count(mask, top)
+    return _boundary_rank(ambient._index, mask, top, field) == ambient._index.count(mask, top)

@@ -150,7 +150,8 @@ class ConvexPolygon:
     of integer ``points`` over a positive ``scale`` in lowest terms: the
     vertices are points / scale.  The region is the interior.
 
-    ``ConvexPolygon(vertices)`` parses rational coordinates; generated
+    ``ConvexPolygon(vertices)`` takes a list or tuple of (x, y) pairs, each
+    a list or tuple, and parses their rational coordinates; generated
     hulls enter through `_lattice`, and both run the one convexity check.
     Lowest terms make the form canonical, so equal polygons are equal
     vertex cycles."""
@@ -159,6 +160,10 @@ class ConvexPolygon:
     scale: int
 
     def __init__(self, vertices):
+        if not isinstance(vertices, (list, tuple)) or not all(
+            isinstance(v, (list, tuple)) and len(v) == 2 for v in vertices
+        ):
+            raise ValidationError("bad vertex list")
         verts = tuple((_to_fraction(x), _to_fraction(y)) for x, y in vertices)
         scale = lcm(*(c.denominator for v in verts for c in v))
         self._set_lattice(tuple((int(x * scale), int(y * scale)) for x, y in verts), scale)
@@ -1053,13 +1058,8 @@ def parse_polygon_family(text: str) -> PolygonFamily:
         label = entry["label"]
         if not isinstance(label, str):
             raise ValidationError(f"member #{pos} label must be a string")
-        verts = entry["vertices"]
-        if not isinstance(verts, list) or not all(
-            isinstance(v, list) and len(v) == 2 for v in verts
-        ):
-            raise ValidationError(f"member {label!r}: bad vertex list")
         try:
-            poly = ConvexPolygon(verts)
+            poly = ConvexPolygon(entry["vertices"])
         except ValidationError as exc:
             raise ValidationError(f"member {label!r}: {exc}") from exc
         members.append(poly)

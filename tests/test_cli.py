@@ -92,6 +92,64 @@ def test_verify_helly_below_d_plus_1_members_exits_three(disjoint_family_file, c
     assert capsys.readouterr().err == "input error: family size must be >= 3\n"
 
 
+def _surface_file(tmp_path, triangles, declared):
+    """A closed surface as ambient, its triangles as members."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({
+        "ambient": triangles,
+        "embedding_dim": declared,
+        "members": [{"label": f"A{i + 1}", "simplices": [t]} for i, t in enumerate(triangles)],
+    }))
+    return str(path)
+
+
+SPHERE = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+RP2 = [[0, 1, 2], [0, 1, 3], [0, 2, 4], [0, 3, 5], [0, 4, 5],
+       [1, 2, 5], [1, 3, 4], [1, 4, 5], [2, 3, 4], [2, 3, 5]]
+
+
+@pytest.mark.parametrize("theorem", ["helly", "breen"])
+@pytest.mark.parametrize("triangles, field, false", [
+    (SPHERE, "gf2", True),
+    (SPHERE, "q", True),
+    (RP2, "gf2", True),  # RP^2 has a 2-cycle mod 2 only
+    (RP2, "q", False),
+], ids=["sphere-gf2", "sphere-q", "rp2-gf2", "rp2-q"])
+def test_verify_rejects_a_false_embedding_dim(tmp_path, capsys, theorem, triangles, field, false):
+    # a surface's fundamental cycle is homology of a subcomplex in degree 2,
+    # so an embedding dimension of 2 is false wherever the cycle exists
+    argv = ["verify", theorem, "--field", field, "--in", _surface_file(tmp_path, triangles, 2)]
+    code = main([*argv, "--d", "2"])
+    captured = capsys.readouterr()
+    if false:
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: ambient declared embedding dimension 2 is false: the ambient "
+            f"has a nonzero 2-cycle over {field}\n"
+        )
+    else:
+        assert code in (0, 2)
+        assert json.loads(captured.out)["result"]["theorem"] == theorem
+    # declared 3, the surface runs at d = 3
+    argv[-1] = _surface_file(tmp_path, triangles, 3)
+    code, out = run([*argv, "--d", "3"], capsys)
+    assert code in (0, 2)
+    assert json.loads(out)["params"]["d"] == 3
+
+
+def test_sphere_declared_three_fails_its_hypotheses_at_d_three(tmp_path, capsys):
+    # at d = 3 the four faces' intersection must be nonempty (helly) and
+    # their union, the sphere, must have b_2 = 0 (breen): both fail
+    path = _surface_file(tmp_path, SPHERE, 3)
+    for theorem, failed in (("helly", {"j": 4, "degree": -1}), ("breen", {"j": 4, "degree": 2})):
+        code, out = run(["verify", theorem, "--in", path, "--d", "3"], capsys)
+        assert code == 2
+        entries = json.loads(out)["result"]["ledger"]["entries"]
+        assert [{"j": e["j"], "degree": e["degree"]} for e in entries
+                if e["status"] == "fail"] == [failed]
+
+
 def test_verify_exit_two_on_failed_hypotheses(disjoint_family_file, capsys):
     code, out = run(["verify", "sigma", "--in", disjoint_family_file], capsys)
     assert code == 2

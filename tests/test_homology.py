@@ -3,10 +3,14 @@ import itertools
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helly_topo import homology
 from helly_topo.cli import main
@@ -30,7 +34,7 @@ from helly_topo.homology import (
     _component_count,
     _components,
     _indexed,
-    _signed_boundary,
+    _rank_q_columns,
     _top_boundary_injective,
     reduced_betti,
 )
@@ -54,12 +58,67 @@ def test_projective_plane_distinguishes_fields():
     assert reduced_betti(cx, GF2).betti != reduced_betti(cx, RATIONALS).betti
 
 
+# --- the rational rank oracle ------------------------------------------------
+
+
+def _signed_boundary(index, mask: int, k: int) -> list:
+    """Dense signed boundary matrix of the mask's k-simplices, read from the index.
+
+    Rows are the mask's (k-1)-simplices and columns its k-simplices, both in
+    index order.  A k-simplex's facets in increasing bit order drop vertex
+    k, k-1, ..., 0, so their signs alternate starting from (-1)^k.
+    """
+    bits = range(len(index.order))
+    rows = [b for b in _select(bits, mask) if len(index.order[b]) == k]
+    cols = [b for b in _select(bits, mask) if len(index.order[b]) == k + 1]
+    row = {b: r for r, b in enumerate(rows)}
+    mat = [[0] * len(cols) for _ in rows]
+    for j, i in enumerate(cols):
+        sign = (-1) ** k
+        for f in _select(bits, index.facets[i]):
+            mat[row[f]][j] = sign
+            sign = -sign
+    return mat
+
+
+def _rank_bareiss(mat) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) Gaussian elimination."""
+    m = [row[:] for row in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            row_i = m[i]
+            row_r = m[r]
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_i[j] * pv - f * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pv
+        rank += 1
+        r += 1
+        if r == nrows:
+            break
+    return rank
+
+
 def _matrices(cx, k):
-    """The signed boundary matrix of cx's k-simplices and its rank over each field."""
+    """The signed boundary matrix of cx's k-simplices and its rank over each
+    field; the rational rank is checked against Bareiss elimination."""
     ambient, mask, _ = _indexed(cx)
     index = ambient._index
-    return (_signed_boundary(index, mask, k),
-            [_boundary_rank(index, mask, k, field) for field in (GF2, RATIONALS)])
+    mat = _signed_boundary(index, mask, k)
+    ranks = [_boundary_rank(index, mask, k, field) for field in (GF2, RATIONALS)]
+    assert ranks[1] == _rank_bareiss(mat)
+    return mat, ranks
 
 
 def test_boundary_matrix_triangle_rank():
@@ -113,6 +172,73 @@ def test_boundary_matrix_squares_to_zero():
     assert composed == 2 * 5 + 2  # five known spaces of dimension 2, twice
     assert _matrices(spaces[-2], 1)[1] == [3, 3]
     assert _matrices(spaces[-2], 2)[1] == [2, 2]
+
+
+def _torsion_spaces():
+    """Two complexes with torsion in H_1, with their reduced Betti numbers
+    over GF(2) and the rationals: a Klein bottle, two copies of the 6-vertex
+    RP^2 without the triangle (0, 1, 2) glued along its boundary
+    (2-torsion), and a mod-3 Moore space, a triangle boundary with a disc
+    attached along a loop that winds three times around it (3-torsion)."""
+    rp2 = sorted(s for s in known_spaces()["projective_plane_6"][0].simplices if len(s) == 3)
+    second = {0: 0, 1: 1, 2: 2, 3: 6, 4: 7, 5: 8}
+    klein = rp2[1:] + [tuple(second[v] for v in t) for t in rp2[1:]]  # rp2[0] is (0, 1, 2)
+    moore = []
+    for i in range(9):
+        # rim vertex i % 3 of the triangle, inner ring vertices 3..11, apex 12
+        a, b = 3 + i, 3 + (i + 1) % 9
+        moore += [(i % 3, (i + 1) % 3, a), ((i + 1) % 3, a, b), (a, b, 12)]
+    return {
+        "klein_bottle": (build_complex(klein), {0: 0, 1: 2, 2: 1}, {0: 0, 1: 1, 2: 0}),
+        "moore_3": (build_complex(moore), {0: 0, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0}),
+    }
+
+
+@pytest.mark.parametrize("name", list(_torsion_spaces()))
+def test_torsion_space_betti(name):
+    cx, expected_gf2, expected_q = _torsion_spaces()[name]
+    assert reduced_betti(cx, GF2).betti == expected_gf2
+    assert reduced_betti(cx, RATIONALS).betti == expected_q
+    _assert_betti_number_matches_oracle(cx)
+
+
+_ORACLE_SPACES = {
+    **{name: known_spaces()[name][0] for name in ("torus_7", "projective_plane_6")},
+    **{name: cx for name, (cx, _, _) in _torsion_spaces().items()},
+}
+
+
+def test_q_reduction_matches_bareiss_oracle(monkeypatch):
+    # every pivot that does not lead with +-1 is scaled by homology.Fraction
+    leads = []
+    monkeypatch.setattr(homology, "Fraction",
+                        lambda v, lead: leads.append(lead) or Fraction(v, lead))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(_ORACLE_SPACES)), st.integers(0, 2 ** 32),
+           st.sampled_from((0.1, 0.3, 0.5, 0.7, 1.0)))
+    def check(name, seed, density):
+        # the face closure of a random share of the space's simplices
+        rng = random.Random(seed)
+        index = _ORACLE_SPACES[name]._index
+        mask = 0
+        for closure in index.closures:
+            if rng.random() < density:
+                mask |= closure
+        for k in range(len(index.dim_masks) + 1):
+            assert _rank_q_columns(index, mask, k) == _rank_bareiss(
+                _signed_boundary(index, mask, k)), (name, k)
+
+    check()
+    assert leads and all(lead not in (1, -1) for lead in leads)
+
+
+def test_fields_agree_on_breen_unions():
+    # planar complexes have no torsion, so the rational ranks of these large
+    # unions must match the GF(2) ones
+    for seed in range(20):
+        union = union_members(random_family(12, 4, 120, seed), range(4))
+        assert reduced_betti(union, RATIONALS).betti == reduced_betti(union, GF2).betti, seed
 
 
 def is_n_acyclic(cx, n: int, field=GF2) -> bool:
@@ -250,6 +376,18 @@ def test_projective_plane_minus_a_triangle_is_a_mobius_band():
 ])
 def test_top_boundary_injective(name, injective):
     assert _top_boundary_injective(known_spaces()[name][0]) is injective
+
+
+@pytest.mark.parametrize("name, injective", [
+    ("annulus", True),
+    ("tetrahedron_boundary", False),
+    ("torus_7", False),
+    ("projective_plane_6", True),  # a 2-cycle mod 2 only
+    ("klein_bottle", True),
+])
+def test_top_boundary_injective_over_the_rationals(name, injective):
+    spaces = {**known_spaces(), **_torsion_spaces()}
+    assert _top_boundary_injective(spaces[name][0], RATIONALS) is injective
 
 
 def test_top_boundary_injective_on_grid():

@@ -84,6 +84,20 @@ def test_polygon_rejects_collinear():
         ConvexPolygon(((0, 0), (1, 0), (2, 0), (1, 1)))
 
 
+@pytest.mark.parametrize("verts", [
+    ("10", "32", "01"),  # each would unpack to the triangle (1, 0), (3, 2), (0, 1)
+    {"10": 0, "32": 0, "01": 0},
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+    ((0, 0), (1, 0), (0,)),
+    "abc",
+    None,
+], ids=["two-character-strings", "dict", "three-item-vertices", "one-item-vertex", "string", "none"])
+def test_polygon_vertices_must_be_coordinate_pairs(verts):
+    with pytest.raises(ValidationError, match="^bad vertex list$"):
+        ConvexPolygon(verts)
+    assert ConvexPolygon([[0, 0], [1, 0], [0, 1]]) == ConvexPolygon(((0, 0), (1, 0), (0, 1)))
+
+
 def test_polygon_accepts_rational_strings():
     poly = ConvexPolygon((("1/2", 0), ("3/2", "0.5"), ("1/2", 1)))
     assert vertices(poly)[0] == (Fraction(1, 2), Fraction(0))
