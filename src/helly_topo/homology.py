@@ -101,14 +101,15 @@ def _rank_q_columns(index, mask: int, k: int) -> int:
     whose lowest row is its own, and each pivot is stored scaled to lead
     with 1, so entries stay ints except where a lead is not +-1.
     """
-    bits = range(len(index.order))
     pivots = {}
     rank = 0
     for facets in _select(index.facets, _dim_mask(index, mask, k)):
         col = {}
         sign = (-1) ** k
-        for f in _select(bits, facets):
-            col[f] = sign
+        while facets:
+            bit = facets & -facets
+            col[bit.bit_length() - 1] = sign
+            facets ^= bit
             sign = -sign
         while col:
             low = max(col)
@@ -257,21 +258,14 @@ def _rank(ambient, mask, k: int, field: CoefficientField, parts) -> int:
         return 0
     if k == 1:
         return index.count(mask, 0) - _components(index, mask, parts)
-    if k == ambient.dimension and _top_boundary_injective(ambient):
+    if k == ambient.dimension and _top_boundary_injective(ambient, field):
         return n_k
     return _boundary_rank(index, mask, k, field)
 
 
 @lru_cache(maxsize=8)
-def _top_boundary_injective(ambient, field: CoefficientField = GF2) -> bool:
-    """Whether the ambient's top boundary map has trivial kernel over field.
-
-    Injective over GF(2) settles the rationals too: a full-rank boundary
-    mod 2 has an odd maximal minor, a nonzero integer.  So the rationals
-    eliminate only where GF(2) finds a top cycle, as on RP^2.
-    """
-    if field is not GF2 and _top_boundary_injective(ambient):
-        return True
+def _top_boundary_injective(ambient, field: CoefficientField) -> bool:
+    """Whether the ambient's top boundary map has trivial kernel over field."""
     top = ambient.dimension
     _, mask, _ = _indexed(ambient)
     return _boundary_rank(ambient._index, mask, top, field) == ambient._index.count(mask, top)

@@ -361,10 +361,23 @@ def test_subcomplex_betti_matches_standalone_complex():
 
 
 def test_projective_plane_minus_a_triangle_is_a_mobius_band():
-    # rp2 fails the injectivity check, so b1 is eliminated on both fields
+    # rp2 has a top cycle mod 2 only, so b1 eliminates d_2 over GF(2) alone
     band = _subcomplexes(known_spaces()["projective_plane_6"][0])[2]
     assert [betti_number(band, k, f) for f in (GF2, RATIONALS) for k in (0, 1, 2)] == [
         0, 1, 0, 0, 1, 0]
+
+
+def test_rank_takes_the_top_shortcut_per_field(monkeypatch):
+    band = _subcomplexes(known_spaces()["projective_plane_6"][0])[2]
+    for field in (GF2, RATIONALS):
+        _top_boundary_injective(band.parent, field)
+    eliminated = []
+    boundary_rank = homology._boundary_rank
+    monkeypatch.setattr(homology, "_boundary_rank",
+                        lambda index, mask, k, field: eliminated.append((k, field))
+                        or boundary_rank(index, mask, k, field))
+    assert [betti_number(band, 1, f) for f in (GF2, RATIONALS)] == [1, 1]
+    assert eliminated == [(2, GF2)]
 
 
 @pytest.mark.parametrize("name, injective", [
@@ -375,7 +388,7 @@ def test_projective_plane_minus_a_triangle_is_a_mobius_band():
     ("projective_plane_6", False),
 ])
 def test_top_boundary_injective(name, injective):
-    assert _top_boundary_injective(known_spaces()[name][0]) is injective
+    assert _top_boundary_injective(known_spaces()[name][0], GF2) is injective
 
 
 @pytest.mark.parametrize("name, injective", [
@@ -391,7 +404,7 @@ def test_top_boundary_injective_over_the_rationals(name, injective):
 
 
 def test_top_boundary_injective_on_grid():
-    assert _top_boundary_injective(grid_complex(6)) is True
+    assert _top_boundary_injective(grid_complex(6), GF2) is True
 
 
 def test_mv_two_arcs_covering_circle():
