@@ -183,6 +183,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
+    if args.action == "profile" and args.resolution is not None:
+        raise ValidationError("--resolution applies to transversal components only")
     family = tp.load_polygon_family(args.infile)
     if args.action == "profile":
         prof = tp.transversal_profile(family)

@@ -139,41 +139,15 @@ def _boundary_rank(index, mask: int, k: int, field: CoefficientField) -> int:
     return _rank_q_columns(index, mask, k)
 
 
-def _component_count(cx) -> int:
-    """Connected components of the 1-skeleton, by union-find."""
-    parent = {}
-    edges = []
-    for s in cx.simplices:
-        if len(s) == 1:
-            parent[s[0]] = s[0]
-        elif len(s) == 2:
-            edges.append(s)
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    merges = 0
-    for u, v in edges:
-        a, b = find(u), find(v)
-        if a != b:
-            parent[a] = b
-            merges += 1
-    return len(parent) - merges
-
-
 def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
     """Reduced Betti vector of a complex or subcomplex, every rank eliminated
     from the ambient's index.
 
-    b_0 is independently cross-checked against a graph search of the
-    1-skeleton on every call.
+    b_0 is independently cross-checked on every call against the component
+    count that `betti_number` reads: the member parts of a generated union,
+    else a union-find over the index's edges.
     """
-    ambient, mask, _ = _indexed(cx)
+    ambient, mask, parts = _indexed(cx)
     if not mask:
         return BettiVector(False, {}, field)
     index = ambient._index
@@ -183,7 +157,7 @@ def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
     # rank 1 for the augmentation C_0 -> Z, rank 0 above the top dimension
     ranks = [1] + [_boundary_rank(index, mask, k, field) for k in range(1, len(counts))] + [0]
     betti = {k: n - ranks[k] - ranks[k + 1] for k, n in enumerate(counts)}
-    comps = _component_count(cx)
+    comps = _components(index, mask, parts)
     if betti[0] + 1 != comps:
         raise InvariantViolation(
             f"rank-based b0={betti[0]} disagrees with graph components={comps}"

@@ -346,7 +346,6 @@ class TransversalProfile:
     exact form of L(t + pi) = -U(t).
     """
 
-    family: PolygonFamily
     scale: int
     panels: tuple
     boundary_signs: tuple
@@ -429,7 +428,7 @@ def transversal_profile(family: PolygonFamily) -> TransversalProfile:
     for p in panels:
         diff = _dot(p.upper_vertex, p.start) - _dot(p.lower_vertex, p.start)
         boundary_signs.append((diff > 0) - (diff < 0))
-    return TransversalProfile(family, scale, tuple(panels), tuple(boundary_signs))
+    return TransversalProfile(scale, tuple(panels), tuple(boundary_signs))
 
 
 # ---------------------------------------------------------------------------
@@ -1136,10 +1135,17 @@ def verify_transversal(tag: str, family: PolygonFamily):
     return verify(family)
 
 
-def sweep_transversal(theorem: str, trials: int, seed: int = 0, m: int = 6) -> SweepReport:
+def sweep_transversal(theorem: str, trials: int, seed: int = 0, m=None) -> SweepReport:
     """Randomized sweep over the transversal lemmas and the six-member
-    transversal theorem; zero conclusion violations expected always."""
+    transversal theorem; zero conclusion violations expected always.
+
+    ``m`` is the family size of a thm-321 trial (6 when None); a lemma row
+    draws its own fixed number of members and takes no ``m``."""
     arity, verify, draw = _transversal(theorem)
+    if arity is None:
+        m = 6 if m is None else m
+    elif m is not None:
+        raise ContractViolation(f"{theorem} has a fixed family size; m does not apply")
 
     def trial(ts):
         rng = random.Random(f"transversal-sweep:{theorem}:{ts}")

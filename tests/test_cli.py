@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helly_topo.cli import THEOREM_TAGS, main
+from helly_topo.cli import THEOREM_TAGS, build_parser, main
 from helly_topo.helly_engine import THEOREMS
 from helly_topo.transversal_plane import TRANSVERSALS
 
@@ -340,3 +340,78 @@ def test_polygon_vertices_must_be_coordinate_pairs(tmp_path, capsys, argv, verts
     assert code == 3
     assert captured.out == ""
     assert captured.err == "input error: member 'a': bad vertex list\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transversal", "profile", "--resolution", "100"],
+         "--resolution applies to transversal components only"),
+        (["sweep", "--theorem", "lemma-311", "--m", "3", "--trials", "1"],
+         "lemma-311 has a fixed family size; m does not apply"),
+    ],
+    ids=["profile-resolution", "lemma-m"],
+)
+def test_options_a_command_ignores_exit_three(polygon_file, capsys, argv, message):
+    if argv[0] == "transversal":
+        argv = [*argv, "--in", polygon_file]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+# (option strings, dest, default, choices, type, required) of every argument
+# of each subcommand, argparse's own -h/--help left out
+FIELDS = ["gf2", "q"]
+TAGS = ["breen", "helly", "lemma-311", "lemma-312", "lemma-313", "prop-a", "sigma",
+        "thm-321", "thm-b"]
+OPTION_TABLE = {
+    "homology": [
+        (("--in",), "infile", None, None, None, True),
+        (("--member",), "member", None, None, None, False),
+        (("--field",), "field", "gf2", FIELDS, None, False),
+        (("--out",), "out", None, None, None, False),
+    ],
+    "verify": [
+        ((), "theorem", None, TAGS, None, True),
+        (("--in",), "infile", None, None, None, True),
+        (("--field",), "field", "gf2", FIELDS, None, False),
+        (("--d",), "d", 2, None, int, False),
+        (("--lambda",), "lam", 0, None, int, False),
+        (("--out",), "out", None, None, None, False),
+    ],
+    "sweep": [
+        (("--theorem",), "theorem", None, TAGS, None, True),
+        (("--trials",), "trials", 100, None, int, False),
+        (("--seed",), "seed", 0, None, int, False),
+        (("--field",), "field", "gf2", FIELDS, None, False),
+        (("--grid",), "grid", 12, None, int, False),
+        (("--m",), "m", None, None, int, False),
+        (("--growth",), "growth", 40, None, int, False),
+        (("--d",), "d", 2, None, int, False),
+        (("--lambda",), "lam", 0, None, int, False),
+        (("--out",), "out", None, None, None, False),
+    ],
+    "transversal": [
+        ((), "action", None, ["profile", "components"], None, True),
+        (("--in",), "infile", None, None, None, True),
+        (("--resolution",), "resolution", None, None, int, False),
+        (("--out",), "out", None, None, None, False),
+    ],
+}
+
+
+def test_option_table_is_pinned():
+    # read from the parser's actions, not --help, whose wording varies
+    # across Python versions; a new option must show up in this table
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    table = {
+        name: [
+            (tuple(a.option_strings), a.dest, a.default, a.choices, a.type, a.required)
+            for a in sub._actions if a.dest != "help"
+        ]
+        for name, sub in commands.items()
+    }
+    assert table == OPTION_TABLE

@@ -31,14 +31,13 @@ from helly_topo.homology import (
     CoefficientField,
     betti_number,
     _boundary_rank,
-    _component_count,
     _components,
     _indexed,
     _rank_q_columns,
     _top_boundary_injective,
     reduced_betti,
 )
-from helly_topo.helly_engine import random_family
+from helly_topo.helly_engine import random_family, sweep
 
 from conftest import known_spaces, make_family, mv_consistency, reduced_euler
 
@@ -471,7 +470,7 @@ def test_fields_agree_without_torsion_witness():
 
 
 def test_b0_matches_component_oracle():
-    # three islands: b0 = 2; the graph-search cross-check runs inside reduced_betti
+    # three islands: b0 = 2; the union-find cross-check runs inside reduced_betti
     cx = build_complex([[0, 1, 2], [3, 4], [5]])
     bv = reduced_betti(cx, GF2)
     assert bv.betti[0] == 2
@@ -503,7 +502,7 @@ def _reference_parts(sub) -> set:
 
 def _assert_parts_exact(sub):
     index = sub.parent._index
-    assert len(sub.parts) == _components(index, sub.mask) == _component_count(sub)
+    assert len(sub.parts) == _components(index, sub.mask)
     assert all(not a & b for a, b in itertools.combinations(sub.parts, 2))
     assert functools.reduce(operator.or_, sub.parts, 0) == sub.mask & index.dim_masks[0]
     assert set(sub.parts) == _reference_parts(sub)
@@ -596,7 +595,7 @@ def test_field_tags_round_trip():
 
 
 def test_b0_cross_check_raises_invariant_violation(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(homology, "_component_count", lambda cx: 5)
+    monkeypatch.setattr(homology, "_components", lambda index, mask, parts=None: 5)
     with pytest.raises(InvariantViolation):
         reduced_betti(build_complex([[0, 1]]), GF2)
     path = tmp_path / "edge.json"
@@ -618,7 +617,7 @@ def test_b0_cross_check_survives_optimized_mode():
         "from helly_topo import homology\n"
         "from helly_topo.complex_core import build_complex\n"
         "from helly_topo.errors import InvariantViolation\n"
-        "homology._component_count = lambda cx: 5\n"
+        "homology._components = lambda index, mask, parts=None: 5\n"
         "try:\n"
         "    homology.reduced_betti(build_complex([[0, 1]]))\n"
         "except InvariantViolation:\n"
@@ -628,3 +627,31 @@ def test_b0_cross_check_survives_optimized_mode():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+def _components_dropping_last_edge(index, mask, parts=None):
+    """`homology._components` with a planted bug: the union-find skips the
+    mask's last edge."""
+    if parts is not None:
+        return len(parts)
+    root = list(range(index.n_vertices))
+    merges = 0
+    for u, v in list(_select(index.edges, mask >> index.n_vertices))[:-1]:
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[u] = v
+            merges += 1
+    return index.count(mask, 0) - merges
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=["gf2", "q"])
+def test_b0_cross_check_catches_a_union_find_bug_in_a_sweep(monkeypatch, field):
+    # the helly conclusion's reduced_betti checks its eliminated b0 against
+    # the component count every ledger entry reads, so a sweep exposes a bug
+    # in that count
+    monkeypatch.setattr(homology, "_components", _components_dropping_last_edge)
+    with pytest.raises(InvariantViolation, match="disagrees with graph components"):
+        sweep("helly", 20, m=3, growth_steps=30, seed=7, field=field)

@@ -647,8 +647,8 @@ def _feasibility_sign_at(scaled_polys, d) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def _assert_boundary_signs_match_oracle(prof):
-    _, polys = prof.family._int_data
+def _assert_boundary_signs_match_oracle(family, prof):
+    _, polys = family._int_data
     for panel, sign in zip(prof.panels, prof.boundary_signs):
         assert sign == _feasibility_sign_at(polys, panel.start), panel
 
@@ -714,7 +714,7 @@ def _reference_profile(family):
     for panel in panels:
         diff = dot(panel.upper_vertex, panel.start) - dot(panel.lower_vertex, panel.start)
         signs.append((diff > 0) - (diff < 0))
-    return TransversalProfile(family, scale, tuple(panels), tuple(signs))
+    return TransversalProfile(scale, tuple(panels), tuple(signs))
 
 
 def _reference_pair_masks(fam):
@@ -755,7 +755,7 @@ def _assert_kernel_matches_oracle(fam):
         sub = subfamily(fam, subset)
         prof = transversal_profile(sub)
         assert prof == _reference_profile(sub), subset
-        _assert_boundary_signs_match_oracle(prof)
+        _assert_boundary_signs_match_oracle(sub, prof)
         assert count == components(prof).component_count, subset
     _assert_pair_roots_are_exact(fam)
     return counts
@@ -1141,6 +1141,16 @@ def test_sweep_transversal_thm321_counts():
     assert rep.trials == 8
     assert rep.hypotheses_satisfied == rep.conclusion_held + rep.conclusion_violated
     assert rep.conclusion_violated == 0
+
+
+def test_sweep_transversal_m_defaults_to_six_and_lemmas_take_none():
+    default = sweep_transversal("thm-321", 3, seed=6)
+    assert default.to_dict() == sweep_transversal("thm-321", 3, seed=6, m=6).to_dict()
+    assert default.to_dict()["params"] == {"m": 6}
+    for tag in ("lemma-311", "lemma-312", "lemma-313"):
+        with pytest.raises(ContractViolation,
+                           match=f"^{tag} has a fixed family size; m does not apply$"):
+            sweep_transversal(tag, 1, m=3)
 
 
 def test_sweep_transversal_deterministic():
