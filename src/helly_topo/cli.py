@@ -41,6 +41,16 @@ EXIT_VALIDATION = 3
 
 THEOREM_TAGS = sorted([*engine.THEOREMS, *tp.TRANSVERSALS])
 
+# (dest, flag, default) of the options that only some rows read; the parser
+# leaves them None, so that one given to a row that ignores it is an error
+ROW_OPTIONS = (
+    ("field", "--field", "gf2"),
+    ("grid", "--grid", 12),
+    ("growth", "--growth", 40),
+    ("d", "--d", 2),
+    ("lam", "--lambda", 0),
+)
+
 
 def _envelope(command: str, params: dict, result: dict) -> dict:
     return {
@@ -86,21 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a theorem's hypotheses and conclusion")
     p_ver.add_argument("theorem", choices=THEOREM_TAGS)
     p_ver.add_argument("--in", dest="infile", required=True)
-    p_ver.add_argument("--field", choices=["gf2", "q"], default="gf2")
-    p_ver.add_argument("--d", type=int, default=2)
-    p_ver.add_argument("--lambda", dest="lam", type=int, default=0)
+    p_ver.add_argument("--field", choices=["gf2", "q"])
+    p_ver.add_argument("--d", type=int)
+    p_ver.add_argument("--lambda", dest="lam", type=int)
     p_ver.add_argument("--out")
 
     p_sweep = sub.add_parser("sweep", help="randomized hypothesis/conclusion tallies")
     p_sweep.add_argument("--theorem", required=True, choices=THEOREM_TAGS)
     p_sweep.add_argument("--trials", type=int, default=100)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--field", choices=["gf2", "q"], default="gf2")
-    p_sweep.add_argument("--grid", type=int, default=12)
+    p_sweep.add_argument("--field", choices=["gf2", "q"])
+    p_sweep.add_argument("--grid", type=int)
     p_sweep.add_argument("--m", type=int, default=None)
-    p_sweep.add_argument("--growth", type=int, default=40)
-    p_sweep.add_argument("--d", type=int, default=2)
-    p_sweep.add_argument("--lambda", dest="lam", type=int, default=0)
+    p_sweep.add_argument("--growth", type=int)
+    p_sweep.add_argument("--d", type=int)
+    p_sweep.add_argument("--lambda", dest="lam", type=int)
     p_sweep.add_argument("--out")
 
     p_tr = sub.add_parser("transversal", help="exact transversal-space computations")
@@ -134,8 +144,27 @@ def _cmd_homology(args) -> int:
     return EXIT_OK
 
 
+def _row_options(args, tag) -> None:
+    """Fill in the defaults of ROW_OPTIONS; one that the row ignores but the
+    command line gives is an input error.  An engine row reads the field,
+    the generator's grid and growth, and its own parameter; a transversal
+    row reads none of them."""
+    read = set()
+    if tag in engine.THEOREMS:
+        param = engine.THEOREMS[tag].param
+        read = {"field", "grid", "growth", "lam" if param == "lambda" else param}
+    for dest, flag, default in ROW_OPTIONS:
+        if not hasattr(args, dest):
+            continue
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in read:
+            raise ValidationError(f"{flag} does not apply to {tag}")
+
+
 def _cmd_verify(args) -> int:
     tag = args.theorem
+    _row_options(args, tag)
     params = {"in": args.infile, "theorem": tag, "field": args.field}
     if tag in engine.THEOREMS:
         family = load_family(args.infile)
@@ -157,6 +186,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     tag = args.theorem
+    _row_options(args, tag)
     sizes = {} if args.m is None else {"m": args.m}
     if tag in engine.THEOREMS:
         report = engine.sweep(

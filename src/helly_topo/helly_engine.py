@@ -272,23 +272,36 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
     members = []
     # Triangles are positions in sorted order and the frontier list is kept
     # sorted by insertion, so each draw indexes the frontier in sorted
-    # triangle order with one _randbelow call, as rng.choice(sorted(...))
-    # would; a test pins the draws.
+    # triangle order, as rng.choice(sorted(...)) would.  The draw is
+    # randrange(n)'s own rejection loop over getrandbits(n.bit_length()),
+    # inlined to skip its argument handling: it consumes the same bits and
+    # returns the same integer.  test_random_family_draws_are_pinned pins the
+    # draws, and test_random_family_matches_the_randrange_reference checks
+    # them against a randrange copy of this loop.
+    getrandbits = rng.getrandbits
+    insort = bisect.insort
     positions = range(len(closures))
     for _ in range(m):
         start = rng.choice(positions)
         mask = closures[start]
         frontier = list(adjacency[start])
+        pop = frontier.pop
         seen = {start, *frontier}
+        add = seen.add
         for _ in range(growth_steps):
-            if not frontier:
+            n = len(frontier)
+            if not n:
                 break
-            tri = frontier.pop(rng.randrange(len(frontier)))
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            tri = pop(r)
             mask |= closures[tri]
             for nb in adjacency[tri]:
                 if nb not in seen:
-                    seen.add(nb)
-                    bisect.insort(frontier, nb)
+                    add(nb)
+                    insort(frontier, nb)
         members.append(Subcomplex._from_mask(ambient, mask, (mask & vertices,)))
     labels = tuple(f"A{i + 1}" for i in range(m))
     return SubcomplexFamily(ambient, tuple(members), labels)

@@ -349,11 +349,18 @@ def test_polygon_vertices_must_be_coordinate_pairs(tmp_path, capsys, argv, verts
          "--resolution applies to transversal components only"),
         (["sweep", "--theorem", "lemma-311", "--m", "3", "--trials", "1"],
          "lemma-311 has a fixed family size; m does not apply"),
+        # the first option the row ignores is named
+        (["sweep", "--theorem", "thm-321", "--trials", "3", "--seed", "1", "--field", "q",
+          "--grid", "5", "--growth", "9", "--d", "7", "--lambda", "3"],
+         "--field does not apply to thm-321"),
+        (["sweep", "--theorem", "breen", "--lambda", "3", "--trials", "1"],
+         "--lambda does not apply to breen"),
+        (["verify", "lemma-311", "--field", "q"], "--field does not apply to lemma-311"),
     ],
-    ids=["profile-resolution", "lemma-m"],
+    ids=["profile-resolution", "lemma-m", "thm-321-sweep", "breen-lambda", "lemma-field"],
 )
 def test_options_a_command_ignores_exit_three(polygon_file, capsys, argv, message):
-    if argv[0] == "transversal":
+    if argv[0] in ("transversal", "verify"):
         argv = [*argv, "--in", polygon_file]
     code = main(argv)
     captured = capsys.readouterr()
@@ -377,21 +384,21 @@ OPTION_TABLE = {
     "verify": [
         ((), "theorem", None, TAGS, None, True),
         (("--in",), "infile", None, None, None, True),
-        (("--field",), "field", "gf2", FIELDS, None, False),
-        (("--d",), "d", 2, None, int, False),
-        (("--lambda",), "lam", 0, None, int, False),
+        (("--field",), "field", None, FIELDS, None, False),
+        (("--d",), "d", None, None, int, False),
+        (("--lambda",), "lam", None, None, int, False),
         (("--out",), "out", None, None, None, False),
     ],
     "sweep": [
         (("--theorem",), "theorem", None, TAGS, None, True),
         (("--trials",), "trials", 100, None, int, False),
         (("--seed",), "seed", 0, None, int, False),
-        (("--field",), "field", "gf2", FIELDS, None, False),
-        (("--grid",), "grid", 12, None, int, False),
+        (("--field",), "field", None, FIELDS, None, False),
+        (("--grid",), "grid", None, None, int, False),
         (("--m",), "m", None, None, int, False),
-        (("--growth",), "growth", 40, None, int, False),
-        (("--d",), "d", 2, None, int, False),
-        (("--lambda",), "lam", 0, None, int, False),
+        (("--growth",), "growth", None, None, int, False),
+        (("--d",), "d", None, None, int, False),
+        (("--lambda",), "lam", None, None, int, False),
         (("--out",), "out", None, None, None, False),
     ],
     "transversal": [

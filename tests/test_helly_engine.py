@@ -1,9 +1,11 @@
+import bisect
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helly_topo.complex_core import (
     Subcomplex,
@@ -17,6 +19,7 @@ from helly_topo.complex_core import (
 from helly_topo.errors import ContractViolation
 from helly_topo.helly_engine import (
     THEOREMS,
+    _grid_setup,
     random_family,
     run_verifier,
     sweep,
@@ -336,6 +339,47 @@ def test_random_family_draws_are_pinned():
                 digest.update(f"{member.mask:x},".encode())
             digest.update(b";")
     assert digest.hexdigest() == RANDOM_FAMILY_DRAWS_SHA256
+
+
+def _reference_random_family(grid_n, m, growth_steps, seed):
+    """random_family's growth loop with each frontier index drawn by
+    rng.randrange: the (parts, mask) pair of every member."""
+    ambient, closures, adjacency = _grid_setup(grid_n)
+    rng = random.Random(f"random-family:{grid_n}:{m}:{growth_steps}:{seed}")
+    vertices = ambient._index.dim_masks[0]
+    members = []
+    positions = range(len(closures))
+    for _ in range(m):
+        start = rng.choice(positions)
+        mask = closures[start]
+        frontier = list(adjacency[start])
+        seen = {start, *frontier}
+        for _ in range(growth_steps):
+            if not frontier:
+                break
+            tri = frontier.pop(rng.randrange(len(frontier)))
+            mask |= closures[tri]
+            for nb in adjacency[tri]:
+                if nb not in seen:
+                    seen.add(nb)
+                    bisect.insort(frontier, nb)
+        members.append(((mask & vertices,), mask))
+    return members
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    grid_n=st.integers(2, 12),
+    m=st.integers(1, 5),
+    growth_steps=st.integers(0, 250),
+    seed=st.integers(-10 ** 6, 10 ** 6),
+)
+@example(grid_n=2, m=3, growth_steps=250, seed=0)  # the 8 triangles run out
+@example(grid_n=12, m=5, growth_steps=250, seed=1)  # frontiers cross 8, 16 and 32
+def test_random_family_matches_the_randrange_reference(grid_n, m, growth_steps, seed):
+    family = random_family(grid_n, m, growth_steps, seed)
+    assert [(member.parts, member.mask) for member in family.members] == \
+        _reference_random_family(grid_n, m, growth_steps, seed)
 
 
 def test_random_family_contract_checks():
