@@ -163,8 +163,10 @@ class Subcomplex:
 
     ``parts`` holds the vertex masks of the 1-skeleton's connected
     components, or None when they are unknown.  Generated blobs carry their
-    one part and a union of members that all carry parts merges theirs;
-    every other subcomplex leaves it None and homology counts components by
+    one part, a one-member intersection or union is the member itself with
+    its parts, and a union of members that all carry parts merges theirs;
+    every other subcomplex (an intersection of two or more members, a
+    parsed member) leaves it None and homology counts components by
     union-find.  It takes no part in equality.
     """
 
@@ -252,18 +254,26 @@ def build_complex(maximal_simplices, declared_embedding_dim=None) -> SimplicialC
 
 
 def _check_indices(family: SubcomplexFamily, indices) -> list:
-    idx = sorted(set(indices))
+    """The distinct selected member indices, sorted; bools are not indices."""
+    size = len(family.members)
+    idx = list(indices)
+    for i in idx:
+        if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= size:
+            raise ContractViolation(f"invalid member index {i!r} for family of size {size}")
     if not idx:
         raise ContractViolation("index set must be nonempty")
-    for i in idx:
-        if not isinstance(i, int) or i < 0 or i >= family.size:
-            raise ContractViolation(f"invalid member index {i!r} for family of size {family.size}")
-    return idx
+    return sorted(set(idx))
 
 
 def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
-    """Simplex-set intersection of the selected members (face-closed by construction)."""
+    """Simplex-set intersection of the selected members (face-closed by construction).
+
+    The intersection of one member is that member itself, with its
+    ``parts``; an intersection of two or more members has ``parts`` None.
+    """
     idx = _check_indices(family, indices)
+    if len(idx) == 1:
+        return family.members[idx[0]]
     mask = functools.reduce(operator.and_, (family.members[i].mask for i in idx))
     return Subcomplex._from_mask(family.ambient, mask)
 
@@ -271,11 +281,14 @@ def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
 def union_members(family: SubcomplexFamily, indices) -> Subcomplex:
     """Simplex-set union of the selected members (face-closed by construction).
 
+    The union of one member is that member itself, with its ``parts``.
     When every selected member has ``parts``, the union's are theirs merged
     wherever they share a vertex: each edge of the union lies in one member,
     so inside one of that member's parts.
     """
     idx = _check_indices(family, indices)
+    if len(idx) == 1:
+        return family.members[idx[0]]
     members = [family.members[i] for i in idx]
     mask = functools.reduce(operator.or_, (sub.mask for sub in members))
     parts = None

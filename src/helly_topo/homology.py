@@ -144,8 +144,8 @@ def reduced_betti(cx, field: CoefficientField = GF2) -> BettiVector:
     from the ambient's index.
 
     b_0 is independently cross-checked on every call against the component
-    count that `betti_number` reads: the member parts of a generated union,
-    else a union-find over the index's edges.
+    count that `betti_number` reads: the parts of a generated member or of
+    a union of them, else a union-find over the index's edges.
     """
     ambient, mask, parts = _indexed(cx)
     if not mask:

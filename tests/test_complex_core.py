@@ -104,6 +104,18 @@ def test_empty_index_set_rejected():
         union_members(fam, set())
 
 
+@pytest.mark.parametrize("indices", [[True], [False], [0, True]], ids=["true", "false", "mixed"])
+def test_bool_member_index_rejected(indices):
+    ambient = build_complex([[0], [1]])
+    fam = make_family(
+        ambient,
+        [Subcomplex(ambient, frozenset({(0,)})), Subcomplex(ambient, frozenset({(1,)}))],
+    )
+    for combine in (intersect_members, union_members):
+        with pytest.raises(ContractViolation, match=r"invalid member index (True|False) "):
+            combine(fam, indices)
+
+
 def test_subcomplex_must_be_face_closed():
     ambient = build_complex([[0, 1, 2]])
     with pytest.raises(ValidationError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helly_topo import homology
+from helly_topo import helly_engine, homology
 from helly_topo.cli import main
 from helly_topo.complex_core import (
     Subcomplex,
@@ -37,7 +37,7 @@ from helly_topo.homology import (
     _top_boundary_injective,
     reduced_betti,
 )
-from helly_topo.helly_engine import random_family, sweep
+from helly_topo.helly_engine import random_family, run_verifier, sweep
 
 from conftest import known_spaces, make_family, mv_consistency, reduced_euler
 
@@ -514,8 +514,14 @@ def _assert_unions_have_exact_parts(fam):
             union = union_members(fam, combo)
             _assert_parts_exact(union)
             assert betti_number(union, 0) == len(union.parts) - 1
-            # intersections count components by union-find
-            assert intersect_members(fam, combo).parts is None
+            inter = intersect_members(fam, combo)
+            if j == 1:
+                # a one-member meet or join is the member, with its parts
+                member = fam.members[combo[0]]
+                assert union is member and inter is member
+            else:
+                # intersections of two or more count components by union-find
+                assert inter.parts is None
 
 
 def test_generated_members_have_one_part():
@@ -576,6 +582,62 @@ def test_union_parts_third_member_bridges_two_disjoint_ones():
     assert len(union_members(fam, (0, 1)).parts) == 2
     assert len(union_members(fam, (0, 1, 2)).parts) == 1
     _assert_unions_have_exact_parts(fam)
+
+
+# (theorem, m, growth_steps, parameter) of the sweeps whose j = 1 ledger
+# entries read a generated member's one part
+_ONE_MEMBER_SWEEPS = [
+    ("helly", 5, 12, {"d": 2}),
+    ("prop-a", 2, 40, {"lam": 1}),
+]
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=["gf2", "q"])
+@pytest.mark.parametrize("theorem, m, growth, params", _ONE_MEMBER_SWEEPS,
+                         ids=[row[0] for row in _ONE_MEMBER_SWEEPS])
+def test_one_member_entries_match_the_union_find_path(theorem, m, growth, params, field):
+    # the same mask with parts None counts its components by union-find
+    observed = []
+    for seed in range(30):
+        fam = random_family(12, m, growth, seed)
+        for entry in run_verifier(theorem, fam, field, **params).ledger.entries:
+            if entry.j == 1:
+                member = fam.members[entry.indices[0]]
+                bare = Subcomplex._from_mask(fam.ambient, member.mask)
+                assert bare.parts is None and member.parts is not None
+                assert entry.observed == betti_number(bare, entry.degree, field)
+                observed.append(entry.observed)
+    assert len(observed) == 30 * m
+    assert 0 in observed and any(observed)  # members with and without holes
+
+
+@pytest.mark.parametrize("theorem, m, growth, params", _ONE_MEMBER_SWEEPS,
+                         ids=[row[0] for row in _ONE_MEMBER_SWEEPS])
+def test_sweeps_count_no_member_components_by_union_find(monkeypatch, theorem, m, growth,
+                                                         params):
+    families = []
+    bare = []  # (family position, mask) of every parts-less component count
+
+    def recording_family(*args):
+        families.append(random_family(*args))
+        return families[-1]
+
+    def recording_components(index, mask, parts=None):
+        if parts is None:
+            bare.append((len(families) - 1, mask))
+        return _components(index, mask, parts)
+
+    monkeypatch.setattr(helly_engine, "random_family", recording_family)
+    monkeypatch.setattr(homology, "_components", recording_components)
+    sweep(theorem, 40, m=m, growth_steps=growth, seed=7, **params)
+    assert len(families) == 40 and bare  # meets of two or more use union-find
+    for pos, fam in enumerate(families):
+        masks = [sub.mask for sub in fam.members]
+        # a member that is also a meet of two or more may be counted as one
+        meets = {functools.reduce(operator.and_, combo)
+                 for j in range(2, m + 1) for combo in itertools.combinations(masks, j)}
+        counted = {mask for p, mask in bare if p == pos}
+        assert not counted & (set(masks) - meets), pos
 
 
 def test_empty_complex_conventions():
