@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation, MalformedInput, ValidationError
@@ -265,49 +264,60 @@ def _check_indices(family: SubcomplexFamily, indices) -> list:
     return sorted(set(idx))
 
 
+def _meet(a: Subcomplex, b: Subcomplex) -> Subcomplex:
+    """Simplex-set intersection of two subcomplexes of one ambient; its
+    ``parts`` are None."""
+    return Subcomplex._from_mask(a.parent, a.mask & b.mask)
+
+
+def _join(a: Subcomplex, b: Subcomplex) -> Subcomplex:
+    """Simplex-set union of two subcomplexes of one ambient.  When both have
+    ``parts``, the union's are theirs merged wherever they share a vertex:
+    each edge of the union lies in a or b, so inside one of its parts."""
+    parts = None
+    if a.parts is not None and b.parts is not None:
+        parts = list(a.parts)
+        for part in b.parts:
+            # the kept parts stay pairwise disjoint, so one pass absorbs
+            # every part that meets the growing one
+            disjoint = []
+            for other in parts:
+                if other & part:
+                    part |= other
+                else:
+                    disjoint.append(other)
+            disjoint.append(part)
+            parts = disjoint
+        parts = tuple(parts)
+    return Subcomplex._from_mask(a.parent, a.mask | b.mask, parts)
+
+
 def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
     """Simplex-set intersection of the selected members (face-closed by construction).
 
-    The intersection of one member is that member itself, with its
+    The indices are checked, then ``_meet`` folds the members in index
+    order.  The intersection of one member is that member itself, with its
     ``parts``; an intersection of two or more members has ``parts`` None.
+    `run_verifier` checks no indices for its ledger: it builds each
+    subfamily's intersection once, by one ``_meet`` of its prefix's.
     """
-    idx = _check_indices(family, indices)
-    if len(idx) == 1:
-        return family.members[idx[0]]
-    mask = functools.reduce(operator.and_, (family.members[i].mask for i in idx))
-    return Subcomplex._from_mask(family.ambient, mask)
+    members = family.members
+    return functools.reduce(_meet, [members[i] for i in _check_indices(family, indices)])
 
 
 def union_members(family: SubcomplexFamily, indices) -> Subcomplex:
     """Simplex-set union of the selected members (face-closed by construction).
 
-    The union of one member is that member itself, with its ``parts``.
-    When every selected member has ``parts``, the union's are theirs merged
-    wherever they share a vertex: each edge of the union lies in one member,
-    so inside one of that member's parts.
+    The indices are checked, then ``_join`` folds the members in index
+    order.  The union of one member is that member itself, with its
+    ``parts``.  When every selected member has ``parts``, the union's are
+    theirs merged wherever they share a vertex: each edge of the union lies
+    in one member, so inside one of that member's parts.  `run_verifier`
+    checks no indices for its ledger: it builds each subfamily's union
+    once, by one ``_join`` of its prefix's.
     """
-    idx = _check_indices(family, indices)
-    if len(idx) == 1:
-        return family.members[idx[0]]
-    members = [family.members[i] for i in idx]
-    mask = functools.reduce(operator.or_, (sub.mask for sub in members))
-    parts = None
-    if all(sub.parts is not None for sub in members):
-        parts = []
-        for sub in members:
-            for part in sub.parts:
-                # the kept parts stay pairwise disjoint, so one pass absorbs
-                # every part that meets the growing one
-                disjoint = []
-                for other in parts:
-                    if other & part:
-                        part |= other
-                    else:
-                        disjoint.append(other)
-                disjoint.append(part)
-                parts = disjoint
-        parts = tuple(parts)
-    return Subcomplex._from_mask(family.ambient, mask, parts)
+    members = family.members
+    return functools.reduce(_join, [members[i] for i in _check_indices(family, indices)])
 
 
 def grid_complex(n: int) -> SimplicialComplex:

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helly_topo import complex_core, helly_engine
 from helly_topo.complex_core import (
     Subcomplex,
     as_simplex,
@@ -14,11 +16,13 @@ from helly_topo.complex_core import (
     face_closure,
     grid_complex,
     intersect_members,
+    parse_family,
     union_members,
 )
 from helly_topo.errors import ContractViolation
 from helly_topo.helly_engine import (
     THEOREMS,
+    LedgerEntry,
     _grid_setup,
     random_family,
     run_verifier,
@@ -288,6 +292,116 @@ def test_adding_ambient_member_keeps_conclusion():
         intersect_members(fam, range(3)).member_simplices
     if v2.hypotheses_hold:
         assert v2.conclusion_holds
+
+
+# --- ledger subfamilies -----------------------------------------------------
+
+# (theorem, m, growth_steps, parameters) of random families on the 8x8 grid
+# with non-vacuous entries in every block; thm-b's size-m union is built
+# from a prefix that no ledger block needs, and at lambda = 0 its degree is
+# 1, where a planar union can have homology
+_LEDGER_ROWS = [
+    ("prop-a", 3, 30, {"lam": 1}),
+    ("thm-b", 3, 40, {"lam": 0}),
+    ("helly", 4, 12, {"d": 2}),
+    ("sigma", 4, 20, {}),
+    ("breen", 4, 20, {"d": 2}),
+]
+
+
+def _path_family():
+    """A parsed family on the path 0-1-...-9 whose members have 2, 2, 3 and
+    2 components; parsed members carry no parts."""
+    return parse_family(json.dumps({
+        "ambient": [[v, v + 1] for v in range(9)],
+        "embedding_dim": 1,
+        "members": [
+            {"label": "A", "simplices": [[0, 1], [4, 5]]},
+            {"label": "B", "simplices": [[2, 3], [6, 7]]},
+            {"label": "C", "simplices": [[1, 2], [5, 6], [9]]},
+            {"label": "D", "simplices": [[1, 2], [3, 4]]},
+        ],
+    }))
+
+
+def _checked_entries(fam, theorem, field, params) -> list:
+    """The non-vacuous ledger entries, each checked against the public call
+    on its indices and against the same mask with parts None (components by
+    union-find)."""
+    entries = [e for e in run_verifier(theorem, fam, field, **params).ledger.entries
+               if e.status != "vacuous"]
+    for entry in entries:
+        combine = intersect_members if entry.kind == "intersection" else union_members
+        public = combine(fam, entry.indices)
+        bare = Subcomplex._from_mask(fam.ambient, public.mask)
+        assert entry.observed == betti_number(public, entry.degree, field), entry
+        assert entry.observed == betti_number(bare, entry.degree, field), entry
+    return entries
+
+
+def test_ledger_entry_keeps_its_dataclass_behaviour():
+    entry = LedgerEntry((0, 2), "union", 1, 0, "pass")
+    same = LedgerEntry(indices=(0, 2), kind="union", degree=1, observed=0, status="pass")
+    assert entry == same and hash(entry) == hash(same)
+    assert entry != LedgerEntry((0, 2), "union", 1, 1, "fail")
+    assert repr(entry) == \
+        "LedgerEntry(indices=(0, 2), kind='union', degree=1, observed=0, status='pass')"
+    assert entry.to_dict() == {"indices": [0, 2], "j": 2, "kind": "union", "degree": 1,
+                               "observed": 0, "status": "pass"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.status = "fail"
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=["gf2", "q"])
+@pytest.mark.parametrize("theorem, m, growth, params", _LEDGER_ROWS,
+                         ids=[row[0] for row in _LEDGER_ROWS])
+def test_ledger_entries_match_the_public_calls(theorem, m, growth, params, field):
+    statuses = set()
+    for seed in range(20):
+        entries = _checked_entries(random_family(8, m, growth, seed), theorem, field, params)
+        assert entries
+        statuses.update(e.status for e in entries)
+    assert statuses == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=["gf2", "q"])
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_ledger_entries_match_the_public_calls_on_a_parsed_family(theorem, field):
+    fam = _path_family()
+    assert all(sub.parts is None for sub in fam.members)
+    assert [betti_number(sub, 0) + 1 for sub in fam.members] == [2, 2, 3, 2]
+    assert _checked_entries(fam, theorem, field, {"d": 2, "lam": 0})
+
+
+@pytest.mark.parametrize("theorem, m, growth, params", _LEDGER_ROWS,
+                         ids=[row[0] for row in _LEDGER_ROWS])
+def test_ledger_checks_indices_once_and_builds_each_subfamily_once(
+        monkeypatch, theorem, m, growth, params):
+    checked = []
+    built = []
+    check = complex_core._check_indices
+
+    def counting_check(family, indices):
+        checked.append(list(indices))
+        return check(family, indices)
+
+    def counting(kind, combine):
+        def counted(a, b):
+            built.append(kind)
+            return combine(a, b)
+        return counted
+
+    monkeypatch.setattr(complex_core, "_check_indices", counting_check)
+    monkeypatch.setattr(helly_engine, "_meet", counting("intersection", complex_core._meet))
+    monkeypatch.setattr(helly_engine, "_join", counting("union", complex_core._join))
+    verdict = run_verifier(theorem, random_family(8, m, growth, 3), **params)
+    assert checked == [list(range(m))]  # the conclusion's call, at the family boundary
+    # every prefix of two or more members of a non-vacuous entry, once each
+    prefixes = {(e.kind, e.indices[:k]) for e in verdict.ledger.entries
+                if e.status != "vacuous" for k in range(2, e.j + 1)}
+    assert sorted(built) == sorted(kind for kind, _ in prefixes)
+    if theorem == "thm-b":
+        assert ("union", tuple(range(m - 1))) in prefixes  # built on demand
 
 
 # --- generator -------------------------------------------------------------
