@@ -210,7 +210,11 @@ class Subcomplex:
 
 @dataclass(frozen=True)
 class SubcomplexFamily:
-    """An ordered, labeled list of subcomplexes of one ambient complex."""
+    """An ordered, labeled list of subcomplexes of one ambient complex.
+
+    It keeps every intersection and union of its members that
+    `intersect_members` and `union_members` build, for the family's life.
+    """
 
     ambient: SimplicialComplex
     members: tuple
@@ -226,6 +230,8 @@ class SubcomplexFamily:
         for sub in self.members:
             if sub.parent != self.ambient:
                 raise ValidationError("all members must share the family's ambient complex")
+        self.__dict__.update(_meets=_Lattice(self.members, _meet),
+                             _joins=_Lattice(self.members, _join))
 
     @property
     def size(self) -> int:
@@ -252,16 +258,20 @@ def build_complex(maximal_simplices, declared_embedding_dim=None) -> SimplicialC
     return SimplicialComplex(closed, declared_embedding_dim)
 
 
-def _check_indices(family: SubcomplexFamily, indices) -> list:
+def _check_indices(family: SubcomplexFamily, indices) -> tuple:
     """The distinct selected member indices, sorted; bools are not indices."""
     size = len(family.members)
-    idx = list(indices)
+    idx = tuple(indices)
+    last = -1  # None once the indices are not strictly increasing
     for i in idx:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= size:
+        if (type(i) is not int and (not isinstance(i, int) or isinstance(i, bool))) \
+                or not 0 <= i < size:
             raise ContractViolation(f"invalid member index {i!r} for family of size {size}")
+        if last is not None:
+            last = i if i > last else None
     if not idx:
         raise ContractViolation("index set must be nonempty")
-    return sorted(set(idx))
+    return idx if last is not None else tuple(sorted(set(idx)))
 
 
 def _meet(a: Subcomplex, b: Subcomplex) -> Subcomplex:
@@ -292,32 +302,50 @@ def _join(a: Subcomplex, b: Subcomplex) -> Subcomplex:
     return Subcomplex._from_mask(a.parent, a.mask | b.mask, parts)
 
 
+class _Lattice(dict):
+    """Sorted index tuple -> the meet or join of those members.  A missing
+    tuple is built once: (i,) is members[i] itself, and a longer tuple is
+    ``combine`` of its prefix's entry (itself built on demand) and its last
+    member."""
+
+    __slots__ = ("members", "combine")
+
+    def __init__(self, members, combine):
+        self.members = members
+        self.combine = combine
+
+    def __missing__(self, key):
+        member = self.members[key[-1]]
+        sub = self[key] = member if len(key) == 1 else self.combine(self[key[:-1]], member)
+        return sub
+
+
 def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
     """Simplex-set intersection of the selected members (face-closed by construction).
 
-    The indices are checked, then ``_meet`` folds the members in index
-    order.  The intersection of one member is that member itself, with its
+    The intersection of one member is that member itself, with its
     ``parts``; an intersection of two or more members has ``parts`` None.
-    `run_verifier` checks no indices for its ledger: it builds each
-    subfamily's intersection once, by one ``_meet`` of its prefix's.
+    The family keeps every intersection it is asked for, so each is built
+    once, by one ``_meet`` of its prefix's (itself built on demand) and its
+    last member: `run_verifier` asks for subfamilies in order of size, and
+    each ledger entry costs one ``&``.
     """
-    members = family.members
-    return functools.reduce(_meet, [members[i] for i in _check_indices(family, indices)])
+    return family._meets[_check_indices(family, indices)]
 
 
 def union_members(family: SubcomplexFamily, indices) -> Subcomplex:
     """Simplex-set union of the selected members (face-closed by construction).
 
-    The indices are checked, then ``_join`` folds the members in index
-    order.  The union of one member is that member itself, with its
-    ``parts``.  When every selected member has ``parts``, the union's are
-    theirs merged wherever they share a vertex: each edge of the union lies
-    in one member, so inside one of that member's parts.  `run_verifier`
-    checks no indices for its ledger: it builds each subfamily's union
-    once, by one ``_join`` of its prefix's.
+    The union of one member is that member itself, with its ``parts``.
+    When every selected member has ``parts``, the union's are theirs merged
+    wherever they share a vertex: each edge of the union lies in one member,
+    so inside one of that member's parts.  The family keeps every union it
+    is asked for, so each is built once, by one ``_join`` of its prefix's
+    (itself built on demand) and its last member: `run_verifier` asks for
+    subfamilies in order of size, and each ledger entry costs one parts
+    merge.
     """
-    members = family.members
-    return functools.reduce(_join, [members[i] for i in _check_indices(family, indices)])
+    return family._joins[_check_indices(family, indices)]
 
 
 def grid_complex(n: int) -> SimplicialComplex:

@@ -23,8 +23,6 @@ from functools import lru_cache
 from .complex_core import (
     SubcomplexFamily,
     Subcomplex,
-    _join,
-    _meet,
     grid_complex,
     intersect_members,
     union_members,
@@ -178,21 +176,6 @@ def _combine(family, kind, indices) -> Subcomplex:
     return (intersect_members if kind == "intersection" else union_members)(family, indices)
 
 
-class _Subfamilies(dict):
-    """Index tuple -> the intersection or union of those members, seeded
-    with (i,) -> members[i].  A missing tuple is built once, as ``combine``
-    of its prefix's entry (itself built on demand) and its last member."""
-
-    def __init__(self, members, combine):
-        super().__init__(((i,), sub) for i, sub in enumerate(members))
-        self.members = members
-        self.combine = combine
-
-    def __missing__(self, combo):
-        sub = self[combo] = self.combine(self[combo[:-1]], self.members[combo[-1]])
-        return sub
-
-
 def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField = GF2,
                  d: int = 2, lam: int = 0) -> Verdict:
     """Evaluate a THEOREMS row: the hypothesis ledger, one entry per
@@ -220,15 +203,8 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
         raise ContractViolation(f"family size must be >= {row.min_size(p)}")
     if row.param == "lambda" and lam < 0:
         raise ContractViolation("lambda must be >= 0")
-    # the ledger's subfamilies are index tuples made here, so no index is
-    # checked until the conclusion's call on range(m), the family boundary
-    built = {}
     entries = []
     for kind, sizes, degree_of in row.hypotheses:
-        if kind not in built:
-            built[kind] = _Subfamilies(family.members,
-                                       _meet if kind == "intersection" else _join)
-        subfamilies = built[kind]
         for j in sizes(m, p):
             degree = degree_of(m, j, p)
             vacuous = degree < -1 or degree > dim
@@ -236,7 +212,7 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
                 if vacuous:
                     entries.append(LedgerEntry(combo, kind, degree, None, "vacuous"))
                 else:
-                    observed = betti_number(subfamilies[combo], degree, field)
+                    observed = betti_number(_combine(family, kind, combo), degree, field)
                     status = "pass" if observed == 0 else "fail"
                     entries.append(LedgerEntry(combo, kind, degree, observed, status))
     ledger = HypothesisLedger(tuple(entries), theorem_params(theorem, d, lam))

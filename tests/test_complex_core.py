@@ -116,6 +116,20 @@ def test_bool_member_index_rejected(indices):
             combine(fam, indices)
 
 
+def test_member_indices_in_any_order_name_one_subfamily():
+    ambient = build_complex([[0, 1], [1, 2], [0, 2]])
+    members = [Subcomplex(ambient, face_closure([e])) for e in [(0, 1), (1, 2), (0, 2)]]
+    fam = make_family(ambient, members)
+    for combine in (intersect_members, union_members):
+        built = combine(fam, (0, 2))
+        assert combine(fam, [2, 0, 2]) is built
+        assert combine(fam, range(0, 3, 2)) is built
+        assert combine(fam, [1, 1]) is members[1]
+        for bad in ([0, 3], [-1], [1.0], ["0"]):
+            with pytest.raises(ContractViolation, match=r"invalid member index "):
+                combine(fam, bad)
+
+
 def test_subcomplex_must_be_face_closed():
     ambient = build_complex([[0, 1, 2]])
     with pytest.raises(ValidationError):

@@ -1,16 +1,19 @@
 import bisect
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helly_topo import complex_core, helly_engine
+from helly_topo import complex_core
 from helly_topo.complex_core import (
     Subcomplex,
+    SubcomplexFamily,
     as_simplex,
     build_complex,
     face_closure,
@@ -326,14 +329,20 @@ def _path_family():
 
 def _checked_entries(fam, theorem, field, params) -> list:
     """The non-vacuous ledger entries, each checked against the public call
-    on its indices and against the same mask with parts None (components by
+    on its indices in a copy of the family that has built nothing yet, and
+    against the fold of its members' masks with parts None (components by
     union-find)."""
     entries = [e for e in run_verifier(theorem, fam, field, **params).ledger.entries
                if e.status != "vacuous"]
     for entry in entries:
-        combine = intersect_members if entry.kind == "intersection" else union_members
-        public = combine(fam, entry.indices)
-        bare = Subcomplex._from_mask(fam.ambient, public.mask)
+        fresh = SubcomplexFamily(fam.ambient, fam.members, fam.labels)
+        if entry.kind == "intersection":
+            public, op = intersect_members(fresh, entry.indices), operator.and_
+        else:
+            public, op = union_members(fresh, entry.indices), operator.or_
+        mask = functools.reduce(op, (fam.members[i].mask for i in entry.indices))
+        assert public.mask == mask, entry
+        bare = Subcomplex._from_mask(fam.ambient, mask)
         assert entry.observed == betti_number(public, entry.degree, field), entry
         assert entry.observed == betti_number(bare, entry.degree, field), entry
     return entries
@@ -375,33 +384,36 @@ def test_ledger_entries_match_the_public_calls_on_a_parsed_family(theorem, field
 
 @pytest.mark.parametrize("theorem, m, growth, params", _LEDGER_ROWS,
                          ids=[row[0] for row in _LEDGER_ROWS])
-def test_ledger_checks_indices_once_and_builds_each_subfamily_once(
+def test_ledger_checks_each_call_and_builds_each_subfamily_once(
         monkeypatch, theorem, m, growth, params):
     checked = []
     built = []
     check = complex_core._check_indices
+    missing = complex_core._Lattice.__missing__
 
     def counting_check(family, indices):
         checked.append(list(indices))
         return check(family, indices)
 
-    def counting(kind, combine):
-        def counted(a, b):
-            built.append(kind)
-            return combine(a, b)
-        return counted
+    def recording_missing(lattice, key):
+        built.append(("intersection" if lattice.combine is complex_core._meet else "union", key))
+        return missing(lattice, key)
 
     monkeypatch.setattr(complex_core, "_check_indices", counting_check)
-    monkeypatch.setattr(helly_engine, "_meet", counting("intersection", complex_core._meet))
-    monkeypatch.setattr(helly_engine, "_join", counting("union", complex_core._join))
+    monkeypatch.setattr(complex_core._Lattice, "__missing__", recording_missing)
     verdict = run_verifier(theorem, random_family(8, m, growth, 3), **params)
-    assert checked == [list(range(m))]  # the conclusion's call, at the family boundary
-    # every prefix of two or more members of a non-vacuous entry, once each
-    prefixes = {(e.kind, e.indices[:k]) for e in verdict.ledger.entries
-                if e.status != "vacuous" for k in range(2, e.j + 1)}
-    assert sorted(built) == sorted(kind for kind, _ in prefixes)
+    entries = [e for e in verdict.ledger.entries if e.status != "vacuous"]
+    # one public call, so one index check, per entry and one for the conclusion
+    assert checked == [list(e.indices) for e in entries] + [list(range(m))]
+    conclusion = THEOREMS[theorem].conclusion
+    if conclusion not in ("union", "intersection"):
+        conclusion = "intersection"
+    # every prefix, built once each
+    needed = [(e.kind, e.indices) for e in entries] + [(conclusion, tuple(range(m)))]
+    prefixes = {(kind, key[:k]) for kind, key in needed for k in range(1, len(key) + 1)}
+    assert sorted(built) == sorted(prefixes)
     if theorem == "thm-b":
-        assert ("union", tuple(range(m - 1))) in prefixes  # built on demand
+        assert ("union", tuple(range(m - 1))) in built  # no ledger block needs it
 
 
 # --- generator -------------------------------------------------------------
