@@ -180,8 +180,8 @@ class ConvexPolygon:
         if n < 3:
             raise ValidationError("a polygon needs at least 3 vertices")
         # a common positive scale keeps the signs of the rational turns
-        for i in range(n):
-            (ax, ay), (bx, by), (cx, cy) = points[i], points[(i + 1) % n], points[(i + 2) % n]
+        triples = zip(points, points[1:] + points[:1], points[2:] + points[:2])
+        for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples):
             if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) <= 0:
                 raise ValidationError(
                     "vertices must be strictly convex in counterclockwise order "
@@ -237,12 +237,17 @@ def _walk_form(verts) -> tuple:
     full circle from angle 0, each edge vector, and each edge's primitive
     outward normal.  Vertex k supports every direction in the closed arc
     from normal k - 1 to normal k."""
-    start = min(range(len(verts)), key=lambda k: (verts[k][1], verts[k][0]))
+    keys = [(y, x) for x, y in verts]
+    start = keys.index(min(keys))
     verts = verts[start:] + verts[:start]
-    edges = tuple(
-        (wx - vx, wy - vy) for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1])
-    )
-    normals = tuple(_primitive(ey, -ex) for ex, ey in edges)
+    edges, normals = [], []
+    vx, vy = verts[0]
+    for wx, wy in verts[1:] + verts[:1]:
+        ex, ey = wx - vx, wy - vy
+        g = gcd(ex, ey)
+        edges.append((ex, ey))
+        normals.append((ey // g, -ex // g))
+        vx, vy = wx, wy
     return verts, edges, normals
 
 
@@ -263,11 +268,20 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
     gv, ge, gn = g_form
     nf, ng = len(fv), len(gv)
     # the first arc opens at the later of the two last normals
-    p = gn[-1] if _cross(fe[-1], ge[-1]) >= 0 else fn[-1]
+    (ax, ay), (bx, by) = fe[-1], ge[-1]
+    p = gn[-1] if ax * by - ay * bx >= 0 else fn[-1]
+    px, py = p
     i = j = 0
     while i < nf or j < ng:
-        f, g = fv[i % nf], gv[j % ng]
-        turn = 1 if j == ng else -1 if i == nf else _cross(fe[i], ge[j])
+        fx, fy = fv[i % nf]
+        gx, gy = gv[j % ng]
+        if j == ng:
+            turn = 1
+        elif i == nf:
+            turn = -1
+        else:
+            (ax, ay), (bx, by) = fe[i], ge[j]
+            turn = ax * by - ay * bx
         if turn >= 0:
             q = fn[i]
             i += 1
@@ -276,18 +290,22 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
         else:
             q = gn[j]
             j += 1
-        x = (f[0] + sign * g[0], f[1] + sign * g[1])
-        at_p = x[0] * p[0] + x[1] * p[1]
-        if x == (0, 0):
-            out += (p, q)
+        qx, qy = q
+        xx, xy = fx + sign * gx, fy + sign * gy
+        at_p = xx * px + xy * py
+        if xx == 0 and xy == 0:
+            out.append(p)
+            out.append(q)
         elif at_p == 0:
             out.append(p)
         else:
-            at_q = x[0] * q[0] + x[1] * q[1]
+            at_q = xx * qx + xy * qy
             if at_q != 0 and (at_p > 0) != (at_q > 0):
-                r = _primitive(-x[1], x[0])
-                out.append(r if _cross(p, r) > 0 else _neg(r))
-        p = q
+                # perp(x) / gcd, turned to the side of p it lies past
+                g = gcd(xx, xy)
+                rx, ry = -xy // g, xx // g
+                out.append((rx, ry) if px * ry - py * rx > 0 else (-rx, -ry))
+        p, px, py = q, qx, qy
     return out
 
 
@@ -633,7 +651,7 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     own = {}
     for pair in itertools.combinations(range(m), 2):
         zeros = _walk_zeros(forms[pair[0]], negated[pair[1]], 1)
-        own[pair] = set(zeros).union(_neg(d) for d in zeros)
+        own[pair] = set(zeros).union([(-x, -y) for x, y in zeros])
     roots = _sort_directions(
         {(1, 0), (0, 1), (-1, 0), (0, -1)}.union(*own.values())
     )
@@ -760,11 +778,16 @@ def _interiors_overlap(verts_a, verts_b) -> bool:
     normal n with max over A of n.p equal to n.v, so it separates iff
     every vertex of B has n.p >= n.v; the edges of B act alike on A."""
     for verts, other in ((verts_a, verts_b), (verts_b, verts_a)):
-        for v, w in zip(verts, verts[1:] + verts[:1]):
-            nx, ny = w[1] - v[1], v[0] - w[0]
-            c = nx * v[0] + ny * v[1]
-            if all(nx * x + ny * y >= c for x, y in other):
+        vx, vy = verts[-1]
+        for wx, wy in verts:
+            nx, ny = wy - vy, vx - wx
+            c = nx * vx + ny * vy
+            for x, y in other:
+                if nx * x + ny * y < c:
+                    break
+            else:
                 return False
+            vx, vy = wx, wy
     return True
 
 
@@ -915,7 +938,12 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
                 ("pass", count == 1),
             )
         )
-    hypotheses_hold = all(dict(c)["pass"] for c in checks)
+    n5 = len(combos5)
+    hypotheses_hold = (
+        semipairwise
+        and all(c >= 1 for c in counts[:n5])
+        and all(c == 1 for c in counts[n5:-1])
+    )
     return TransversalVerdict("thm-321", tuple(checks), hypotheses_hold, family, counts[-1])
 
 
@@ -950,13 +978,15 @@ def random_convex_polygon(rng: random.Random, center, radius: float,
                           n_points: int) -> ConvexPolygon:
     """Hull of random near-circle points, rounded to the 1/_GRID lattice."""
     cx, cy = center
+    unit, cos, sin = rng.random, math.cos, math.sin
     for _ in range(64):
         pts = []
         for _ in range(max(n_points, 3)):
-            ang = rng.uniform(0.0, TWO_PI)
-            rr = radius * (0.72 + 0.28 * rng.random())
-            x = cx + rr * math.cos(ang)
-            y = cy + rr * math.sin(ang)
+            # rng.uniform(0.0, TWO_PI) computes 0.0 + TWO_PI * rng.random()
+            ang = TWO_PI * unit()
+            rr = radius * (0.72 + 0.28 * unit())
+            x = cx + rr * cos(ang)
+            y = cy + rr * sin(ang)
             pts.append((round(x * _GRID), round(y * _GRID)))
         # on one grid the integer points order and turn as the rationals do
         hull = _convex_hull(pts)

@@ -140,3 +140,56 @@ def test_assert_check_finds_assert_statements():
 def test_package_has_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _assert_statements(tree) == []
+
+
+# The pair-mask kernel and the checks it rests on decide every sign in
+# integer arithmetic; a float there could decide one wrongly.
+EXACT_KERNELS = (
+    "_walk_form", "_walk_zeros", "_pair_masks", "_subfamily_counts",
+    "_sort_directions", "_interiors_overlap", "_set_lattice",
+)
+
+
+def _float_arithmetic(tree, names) -> list:
+    """(function, line, what) of every float literal, true division and
+    ``math`` attribute other than ``math.gcd`` inside the named functions,
+    nested functions included; a named function missing from the tree is
+    reported with line 0."""
+    found, seen = [], set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name not in names:
+            continue
+        seen.add(func.name)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((func.name, node.lineno, repr(node.value)))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append((func.name, node.lineno, "/"))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr != "gcd"):
+                found.append((func.name, node.lineno, f"math.{node.attr}"))
+    found += [(name, 0, "missing") for name in names if name not in seen]
+    return sorted(found)
+
+
+def test_float_check_finds_floats_in_exact_kernels():
+    tree = ast.parse(
+        "import math\n"
+        "def exact(a, b):\n    g = math.gcd(a, b)\n    return a // g, -b // g, 2 ** 3\n"
+        "class Polygon:\n    def kernel(self, a, b):\n        t = a / b\n        a /= 2\n"
+        "        def key(x):\n            return math.floor(x) + 0.5\n"
+        "        return t, math.pi, 1e-3\n"
+        "def outside(a):\n    return a / 2.0 + math.sqrt(a)\n"
+    )
+    assert _float_arithmetic(tree, ("exact", "kernel", "gone")) == [
+        ("gone", 0, "missing"),
+        ("kernel", 7, "/"), ("kernel", 8, "/"),
+        ("kernel", 10, "0.5"), ("kernel", 10, "math.floor"),
+        ("kernel", 11, "0.001"), ("kernel", 11, "math.pi"),
+    ]
+
+
+def test_exact_kernels_hold_no_float_arithmetic():
+    path = ROOT / "src" / "helly_topo" / "transversal_plane.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _float_arithmetic(tree, EXACT_KERNELS) == []

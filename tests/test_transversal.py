@@ -23,6 +23,7 @@ from helly_topo.transversal_plane import (
     _cross,
     _cyclic_runs,
     _interiors_overlap,
+    _neg,
     _pair_masks,
     _primitive,
     _sort_directions,
@@ -468,9 +469,10 @@ def _interiors_overlap_reference(verts_a, verts_b) -> bool:
     return True
 
 
-def test_interiors_overlap_matches_reference_on_lattice_pairs():
-    # hulls of point sets on a 5x5 lattice meet at corners, share edges,
-    # contain one another and repeat, so every boundary case comes up
+@functools.cache
+def _lattice_hulls() -> list:
+    """Hulls of point sets on a 5x5 lattice: they meet at corners, share
+    edges, contain one another and repeat, so every boundary case comes up."""
     rng = random.Random("lattice-overlap")
     polys = set()
     while len(polys) < 90:
@@ -478,9 +480,12 @@ def test_interiors_overlap_matches_reference_on_lattice_pairs():
         hull = _convex_hull(points)
         if len(hull) >= 3:
             polys.add(tuple(hull))
-    polys = sorted(polys)
+    return sorted(polys)
+
+
+def test_interiors_overlap_matches_reference_on_lattice_pairs():
     verdicts = set()
-    for a, b in itertools.product(polys, repeat=2):
+    for a, b in itertools.product(_lattice_hulls(), repeat=2):
         expected = _interiors_overlap_reference(a, b)
         assert _interiors_overlap(a, b) == expected, (a, b)
         verdicts.add(expected)
@@ -493,6 +498,76 @@ def test_interiors_overlap_matches_reference_on_stabbed_families():
             _, polys = random_stabbed_family(6, seed, jitter=jitter)._int_data
             for a, b in itertools.permutations(polys, 2):
                 assert _interiors_overlap(a, b) == _interiors_overlap_reference(a, b)
+
+
+def _reference_walk_form(verts) -> tuple:
+    """`_walk_form` with its helper calls: the lowest (then leftmost) vertex
+    first, each edge vector and each edge's primitive outward normal."""
+    start = min(range(len(verts)), key=lambda k: (verts[k][1], verts[k][0]))
+    verts = verts[start:] + verts[:start]
+    edges = tuple(
+        (wx - vx, wy - vy) for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1])
+    )
+    normals = tuple(_primitive(ey, -ex) for ex, ey in edges)
+    return verts, edges, normals
+
+
+def _reference_walk_zeros(f_form, g_form, sign: int) -> list:
+    """`_walk_zeros` with its helper calls: the merge walk over two
+    reference walk forms' normals, and every zero of h_F + sign * h_G."""
+    out = []
+    fv, fe, fn = f_form
+    gv, ge, gn = g_form
+    nf, ng = len(fv), len(gv)
+    # the first arc opens at the later of the two last normals
+    p = gn[-1] if _cross(fe[-1], ge[-1]) >= 0 else fn[-1]
+    i = j = 0
+    while i < nf or j < ng:
+        f, g = fv[i % nf], gv[j % ng]
+        turn = 1 if j == ng else -1 if i == nf else _cross(fe[i], ge[j])
+        if turn >= 0:
+            q = fn[i]
+            i += 1
+            if turn == 0:
+                j += 1
+        else:
+            q = gn[j]
+            j += 1
+        x = (f[0] + sign * g[0], f[1] + sign * g[1])
+        at_p = x[0] * p[0] + x[1] * p[1]
+        if x == (0, 0):
+            out += (p, q)
+        elif at_p == 0:
+            out.append(p)
+        else:
+            at_q = x[0] * q[0] + x[1] * q[1]
+            if at_q != 0 and (at_p > 0) != (at_q > 0):
+                r = _primitive(-x[1], x[0])
+                out.append(r if _cross(p, r) > 0 else _neg(r))
+        p = q
+    return out
+
+
+def _assert_walk_matches_reference(a, b):
+    # sign -1 on (a, b) finds max-support crossings, sign +1 on (a, -b) a
+    # pair's roots; the other two cover sums the kernel never forms
+    neg_b = tuple((-x, -y) for x, y in b)
+    for g, sign in ((b, -1), (neg_b, 1), (b, 1), (neg_b, -1)):
+        expected = _reference_walk_zeros(_reference_walk_form(a), _reference_walk_form(g), sign)
+        assert _walk_zeros(_walk_form(a), _walk_form(g), sign) == expected, (a, g, sign)
+
+
+def test_walk_matches_reference_on_lattice_pairs():
+    for a, b in itertools.product(_lattice_hulls(), repeat=2):
+        _assert_walk_matches_reference(a, b)
+
+
+def test_walk_matches_reference_on_stabbed_families():
+    for seed in range(10):
+        for jitter in (0.05, 0.4, 1.2):
+            _, polys = random_stabbed_family(6, seed, jitter=jitter)._int_data
+            for a, b in itertools.permutations(polys, 2):
+                _assert_walk_matches_reference(a, b)
 
 
 def test_edge_touching_pair_flags_tangent_direction():
@@ -725,8 +800,9 @@ def _reference_pair_masks(fam):
     pairs = list(itertools.combinations(range(fam.size), 2))
     zeros = set()
     for i, j in pairs:
+        neg_j = tuple((-x, -y) for x, y in polys[j])
         zeros.update(
-            _walk_zeros(_walk_form(polys[i]), _walk_form(tuple((-x, -y) for x, y in polys[j])), 1)
+            _reference_walk_zeros(_reference_walk_form(polys[i]), _reference_walk_form(neg_j), 1)
         )
     roots = sorted(
         {(1, 0), (0, 1), (-1, 0), (0, -1)} | zeros | {(-x, -y) for x, y in zeros},
@@ -770,7 +846,8 @@ def _assert_pair_roots_are_exact(fam):
     _, polys = fam._int_data
     for i, j in itertools.combinations(range(fam.size), 2):
         a, b = polys[i], polys[j]
-        zeros = _walk_zeros(_walk_form(a), _walk_form(tuple((-x, -y) for x, y in b)), 1)
+        neg_b = tuple((-x, -y) for x, y in b)
+        zeros = _reference_walk_zeros(_reference_walk_form(a), _reference_walk_form(neg_b), 1)
         roots = set(zeros) | {(-x, -y) for x, y in zeros}
         for d in roots:
             assert _feasibility_sign_at((a, b), d) == 0, d
@@ -778,7 +855,7 @@ def _assert_pair_roots_are_exact(fam):
         for k, (panel, sign) in enumerate(zip(prof.panels, prof.boundary_signs)):
             if sign == 0 and (panel.feasible_sign or prof.panels[k - 1].feasible_sign):
                 assert panel.start in roots, panel
-        for d in _walk_zeros(_walk_form(a), _walk_form(b), -1):
+        for d in _reference_walk_zeros(_reference_walk_form(a), _reference_walk_form(b), -1):
             assert max(v[0] * d[0] + v[1] * d[1] for v in a) == \
                 max(v[0] * d[0] + v[1] * d[1] for v in b), d
 
@@ -1020,6 +1097,26 @@ def test_int_data_matches_fraction_rescaling(seed, shear, turns, shift, cut):
         assert family._int_data == _int_data_oracle(family)
 
 
+# SHA-256 of every check tuple, the whole family's component count and
+# hypotheses_hold of `verify_theorem_321` on the stabbed families below.
+# Sweep digests pin only the tallies, so one changed subfamily count can
+# leave them as they are; this pins each count.
+THEOREM_321_CHECKS_SHA256 = "66751eda9c53a62b4cc507417f269d34e8939b6186e2919c324db7c4df0f2653"
+
+
+def test_theorem_321_checks_are_pinned():
+    digest = hashlib.sha256()
+    for m in (6, 7, 8):
+        for seed in range(4):
+            for jitter in (0.05, 0.4, 1.2):
+                verdict = verify_theorem_321(random_stabbed_family(m, seed, jitter=jitter))
+                digest.update(repr(
+                    (verdict.checks, verdict.component_count, verdict.hypotheses_hold)
+                ).encode())
+                digest.update(b";")
+    assert digest.hexdigest() == THEOREM_321_CHECKS_SHA256
+
+
 def test_theorem_321_requires_six_members():
     fam = PolygonFamily(tuple(square(3 * i, 0) for i in range(5)))
     with pytest.raises(ContractViolation):
@@ -1124,6 +1221,46 @@ def test_generator_draws_are_pinned():
             digest.update(repr(vertices(poly)).encode())
         digest.update(b";")
     assert digest.hexdigest() == GENERATOR_DRAWS_SHA256
+
+
+def _reference_random_convex_polygon(rng, center, radius, n_points):
+    """`random_convex_polygon` with each angle drawn by rng.uniform."""
+    cx, cy = center
+    for _ in range(64):
+        pts = []
+        for _ in range(max(n_points, 3)):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            rr = radius * (0.72 + 0.28 * rng.random())
+            x = cx + rr * math.cos(ang)
+            y = cy + rr * math.sin(ang)
+            pts.append((round(x * 10 ** 4), round(y * 10 ** 4)))
+        hull = _convex_hull(pts)
+        if len(hull) >= 3:
+            return ConvexPolygon._lattice(tuple(hull), 10 ** 4)
+    raise GenerationFailure("could not build a non-degenerate polygon")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(-10 ** 6, 10 ** 6),
+    center=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+    radius=st.floats(1e-4, 5),
+)
+@example(seed=0, center=(0.0, 0.0), radius=1e-4)  # collinear draws are redrawn
+@example(seed=0, center=(0.0, 0.0), radius=5e-5)  # every draw collapses: both raise
+def test_random_convex_polygon_matches_the_uniform_reference(seed, center, radius):
+    for n_points in range(3, 17):
+        rng = random.Random(f"uniform-reference:{seed}:{n_points}")
+        ref = random.Random(f"uniform-reference:{seed}:{n_points}")
+        try:
+            expected = _reference_random_convex_polygon(ref, center, radius, n_points)
+        except GenerationFailure:
+            with pytest.raises(GenerationFailure):
+                random_convex_polygon(rng, center, radius, n_points)
+        else:
+            assert random_convex_polygon(rng, center, radius, n_points) == expected
+        # both consumed the same draws
+        assert rng.getstate() == ref.getstate()
 
 
 # --- sweeps ----------------------------------------------------------------
