@@ -275,10 +275,7 @@ def main(argv=None) -> int:
         if args.command == "transversal":
             return _cmd_transversal(args)
         raise ContractViolation(f"unknown command {args.command!r}")
-    except (ValidationError, MalformedInput, ContractViolation) as exc:
-        _say(f"input error: {exc}")
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ValidationError, MalformedInput, ContractViolation, OSError) as exc:
         _say(f"input error: {exc}")
         return EXIT_VALIDATION
     except GenerationFailure as exc:

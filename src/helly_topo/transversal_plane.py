@@ -1027,7 +1027,7 @@ def random_disjoint_pair(seed: int) -> tuple:
     raise GenerationFailure("could not place a disjoint pair")
 
 
-def random_stabbed_family(m: int, seed: int, jitter: float = 0.4) -> PolygonFamily:
+def random_stabbed_family(m: int, seed: int, jitter: float) -> PolygonFamily:
     """Semipairwise-disjoint family whose members sit near a random line.
 
     The jitter parameter moves members off the common line; small values

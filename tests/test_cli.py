@@ -277,6 +277,54 @@ def test_malformed_family_file_exits_three(tmp_path, capsys, change):
     assert code == 3
 
 
+_FAMILY = {
+    "ambient": [[0, 1], [1, 2]],
+    "embedding_dim": 1,
+    "members": [{"label": "A1", "simplices": [[0, 1]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["homology", "--member", "A1"], "[]", "family file must be a JSON object"),
+        (["homology", "--member", "A1"], json.dumps({"ambient": [[0, 1]], "embedding_dim": 1}),
+         "family file is missing the 'members' key"),
+        (["homology", "--member", "A1"], json.dumps({**_FAMILY, "ambient": [[0, 0]]}),
+         "bad ambient complex: duplicate vertex inside simplex [0, 0]"),
+        (["homology", "--member", "A1"], json.dumps({**_FAMILY, "members": {}}),
+         "members must be a list"),
+        (["homology", "--member", "A1"], json.dumps({**_FAMILY, "members": [7]}),
+         "member #0 must be an object with 'label' and 'simplices'"),
+        (["homology", "--member", "A1"],
+         json.dumps({**_FAMILY, "members": [{"label": 1, "simplices": [[0, 1]]}]}),
+         "member #0 label must be a string"),
+        (["homology", "--member", "A1"],
+         json.dumps({**_FAMILY, "members": [{"label": "A1", "simplices": [[0, 0]]}]}),
+         "member 'A1': duplicate vertex inside simplex [0, 0]"),
+        (["homology", "--member", "B1"], json.dumps(_FAMILY), "no member labeled 'B1'"),
+        (["transversal", "components"], "",
+         "polygon file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (["transversal", "components"], json.dumps({"members": [7]}),
+         "member #0 must be an object with 'label' and 'vertices'"),
+        (["transversal", "components"],
+         json.dumps({"members": [{"label": 1, "vertices": [[0, 0], [1, 0], [0, 1]]}]}),
+         "member #0 label must be a string"),
+    ],
+    ids=["family-not-object", "family-missing-key", "family-bad-ambient", "members-not-list",
+         "member-not-object", "member-label-not-string", "member-bad-simplex", "unknown-member",
+         "polygons-not-json", "polygon-not-object", "polygon-label-not-string"],
+)
+def test_input_file_rejections_exit_three(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([*argv, "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def _polygon_file(tmp_path, corners):
     """Side-2 squares with the given lower-left corners."""
     data = {

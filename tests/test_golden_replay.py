@@ -1,8 +1,10 @@
-"""Byte-identity of reports against the benchmark's golden records.
+"""Byte-identity of reports: the one gate that pins them.
 
 Replays the CLI argv corpus and the first trials of every benchmark
 workload at the primary and holdout seeds, and compares them with the
-digests and outputs recorded under ``perfbench/golden``.
+digests and outputs recorded under ``perfbench/golden``. Then runs each
+command of ``PINNED_REPORTS`` in-process and compares the SHA-256 of its
+stdout with the row's digest.
 """
 
 import os
@@ -34,3 +36,50 @@ def test_workload_reports_match_golden_digests(name, seed):
     texts = [workloads.report_text(run(workloads.sweep_seed(seed, t)))
              for t in range(gate.GATE_TRIALS)]
     assert gate.check_digest(gate.load_digests(), name, seed, gate.GATE_TRIALS, texts) == []
+
+
+# (name, argv, SHA-256 of stdout): longer runs than the benchmark's golden
+# prefixes, each above a comment on what no other pin covers. The draws, and
+# so the digests, rest on the random module's internals: CI runs this table
+# on every supported Python.
+PINNED_REPORTS = [
+    # a change to the pair-mask kernel's reports fails here, beyond the
+    # benchmark's 4-trial golden digests
+    ("thm321-m6", "sweep --theorem thm-321 --m 6 --trials 200 --seed 7",
+     "bb625baa9b0ccf29f507307c96b97db6968b8de38849d9126e9d443f68630cf6"),
+    # 28 pairs and 126 checked subfamilies a trial, against 15 and 21 at m = 6
+    ("thm321-m8", "sweep --theorem thm-321 --m 8 --trials 200 --seed 7",
+     "a5e0db07abad3bee884e8cd242df42ce13bbd214529ddf88bb9827fcf955f3da"),
+    # grid sweeps rank nothing by elimination inside betti_number, so the
+    # conclusion's reduced_betti is the only place a sweep runs the rational
+    # column reduction
+    ("helly-q", "sweep --theorem helly --m 3 --growth 30 --field q --trials 2000 --seed 7",
+     "6828a317291f9d3032464ea3e7c4fec89139a211e4082b48768ef4dd146a9af1"),
+    # the generator's inlined frontier draws and the union ledger of the
+    # paper's union-vanishing corollary, beyond the benchmark's golden digests
+    ("breen", "sweep --theorem breen --m 4 --growth 120 --trials 500 --seed 7",
+     "cbab56cc65c6fd34c92b2814d2f48bdb7e5c02330a93a44e1fd40e720ed8f317"),
+    # its j = 1 ledger entries read each generated member's one part rather
+    # than a union-find, and no other digest pins a prop-a ledger
+    ("prop-a-q", "sweep --theorem prop-a --lambda 1 --m 2 --growth 40 --field q --trials 2000 --seed 7",
+     "662a761b7b8823d50012156d78be98088c313c26d45ae6edf25dd91349b7ea2f"),
+    # its ledger has unions at every subfamily size, each built from its
+    # prefix's union
+    ("sigma", "sweep --theorem sigma --m 3 --growth 40 --trials 2000 --seed 7",
+     "c4a92b8b1eae11a0eeec1c5276e561f8b7d46b4db5e37d3a9b6cd0836a0f2d1c"),
+    # its size-m union is built from a prefix that no ledger block needs, and
+    # at lambda 0 it sits at degree 1, where a planar union can have homology
+    ("thm-b-q", "sweep --theorem thm-b --lambda 0 --m 3 --growth 40 --field q --trials 2000 --seed 7",
+     "9dcd7da9cd97a249847f1790ef8e9b4a211fb915d4bb141df4114b45a5b56e09"),
+    # the rational homology of one large member, the union of
+    # random_family(12, 4, 120, 3) with 285 triangles: no benchmark workload
+    # runs rational elimination on an input this size
+    ("homology-q", "homology --in tests/breen_union_q.json --field q",
+     "c6de81e99f97eaf5edaa2bfa0e95de88f45f99b6bd846dfe3948566a046c67ac"),
+]
+
+
+@pytest.mark.parametrize("name, argv, sha256", PINNED_REPORTS, ids=[row[0] for row in PINNED_REPORTS])
+def test_pinned_report_digests(name, argv, sha256):
+    code, out, err = gate.run_cli(argv.split())
+    assert (code, gate.digest([out])) == (0, sha256), f"helly-topo {argv}: {err}"

@@ -515,6 +515,17 @@ def test_random_family_contract_checks():
         random_family(4, 0, 5, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: grid_complex(0), "grid size must be >= 1"),
+    (lambda: random_family(4, 2, -1, seed=0), "growth_steps must be >= 0"),
+    (lambda: sweep("sigma", 0), "trials must be >= 1"),
+], ids=["grid-size-zero", "negative-growth", "zero-trials"])
+def test_generators_and_sweeps_reject_bad_sizes(call, message):
+    with pytest.raises(ContractViolation) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # --- sweep -----------------------------------------------------------------
 
 

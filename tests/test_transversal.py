@@ -121,6 +121,28 @@ def test_polygon_rejects_non_finite_coordinates(bad, tmp_path, capsys):
     assert captured.err == f"input error: member 'P1': {message}\n"
 
 
+@pytest.mark.parametrize("bad, message", [
+    (True, "coordinate must be a number, got True"),
+    ("1/0", "cannot parse coordinate '1/0'"),
+    ("x", "cannot parse coordinate 'x'"),
+    (None, "coordinate must be a number or 'p/q' string, got None"),
+], ids=["bool", "zero-denominator", "not-a-number", "none"])
+def test_polygon_rejects_unreadable_coordinates(bad, message):
+    with pytest.raises(ValidationError) as exc:
+        ConvexPolygon(((0, 0), (1, 0), (bad, 1)))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("a",), "labels and members must have the same length"),
+    (("a", "a"), "member labels must be unique"),
+], ids=["too-few", "repeated"])
+def test_polygon_family_rejects_bad_labels(labels, message):
+    with pytest.raises(ValidationError) as exc:
+        PolygonFamily((square(0, 0), square(10, 0)), labels)
+    assert str(exc.value) == message
+
+
 def _fraction_turn_error(vertices):
     """The polygon check in Fraction arithmetic: the error text a vertex
     cycle must be rejected with, or None if it is strictly convex and
