@@ -23,10 +23,13 @@ Every such direction comes from a merge walk over two polygons' outward
 normals, linear in their vertex counts: the directions where two members'
 support functions cross give the envelope panel stops, and the zeros of the
 support function of a pair's Minkowski difference give the pair's
-feasibility roots.  From those roots alone the thm-321 kernel counts the
-components of every subfamily, the whole family included, so a thm-321
-sweep builds no envelope profile; a verdict builds the whole family's
-profile only when its witness is read, and checks it against the kernel.
+feasibility roots.  Each polygon's walk form is built once, and -P's is
+derived from P's.  From those roots alone the thm-321 kernel counts the
+components of every subfamily, the whole family included: where a pair's
+own zeros sit among its roots fixes which runs between them are feasible.
+So a thm-321 sweep builds no envelope profile; a verdict builds the whole
+family's profile only when its witness is read, and checks it against the
+kernel, and lists its checks only when they are read.
 
 Each statement is a row of TRANSVERSALS, the lemma rows data for one lemma
 verifier, and `verify_transversal(tag, family)` evaluates a row.
@@ -251,6 +254,25 @@ def _walk_form(verts) -> tuple:
     return verts, edges, normals
 
 
+def _negated_form(form) -> tuple:
+    """The walk form of -P from the walk form of P.  Negation turns every
+    edge and normal by pi and keeps their cyclic order, so -P's walk opens
+    at the negation of P's first edge whose angle is at least pi; that
+    edge leaves P's highest (then rightmost) vertex, whose negation is the
+    lowest (then leftmost) vertex of -P."""
+    verts, edges, normals = form
+    k = 0
+    for ex, ey in edges:
+        if ey < 0 or (ey == 0 and ex < 0):
+            break
+        k += 1
+    return (
+        tuple([(-x, -y) for x, y in verts[k:] + verts[:k]]),
+        [(-x, -y) for x, y in edges[k:] + edges[:k]],
+        [(-x, -y) for x, y in normals[k:] + normals[:k]],
+    )
+
+
 def _walk_zeros(f_form, g_form, sign: int) -> list:
     """Every direction t at which h_F(t) + sign * h_G(t) = 0, with h the
     support function of the polygon of each walk form.
@@ -262,6 +284,8 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
     on [p, q) at most at one of +-perp(x): at p, or strictly inside where
     x.p and x.q have opposite signs.  If x = 0 the function vanishes on the
     whole arc, and both its endpoints are zeros.  Every value is an integer.
+    The supporting vertices of both arcs that meet at q support q, so x.q
+    is also the next arc's value at its p: one dot product per arc.
     """
     out = []
     fv, fe, fn = f_form
@@ -271,6 +295,8 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
     (ax, ay), (bx, by) = fe[-1], ge[-1]
     p = gn[-1] if ax * by - ay * bx >= 0 else fn[-1]
     px, py = p
+    (fx, fy), (gx, gy) = fv[0], gv[0]
+    at_p = (fx + sign * gx) * px + (fy + sign * gy) * py
     i = j = 0
     while i < nf or j < ng:
         fx, fy = fv[i % nf]
@@ -292,20 +318,17 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
             j += 1
         qx, qy = q
         xx, xy = fx + sign * gx, fy + sign * gy
-        at_p = xx * px + xy * py
-        if xx == 0 and xy == 0:
+        at_q = xx * qx + xy * qy
+        if at_p == 0:
             out.append(p)
-            out.append(q)
-        elif at_p == 0:
-            out.append(p)
-        else:
-            at_q = xx * qx + xy * qy
-            if at_q != 0 and (at_p > 0) != (at_q > 0):
-                # perp(x) / gcd, turned to the side of p it lies past
-                g = gcd(xx, xy)
-                rx, ry = -xy // g, xx // g
-                out.append((rx, ry) if px * ry - py * rx > 0 else (-rx, -ry))
-        p, px, py = q, qx, qy
+            if xx == 0 and xy == 0:
+                out.append(q)
+        elif at_q != 0 and (at_p > 0) != (at_q > 0):
+            # perp(x) / gcd, turned to the side of p it lies past
+            g = gcd(xx, xy)
+            rx, ry = -xy // g, xx // g
+            out.append((rx, ry) if px * ry - py * rx > 0 else (-rx, -ry))
+        p, px, py, at_p = q, qx, qy, at_q
     return out
 
 
@@ -635,26 +658,33 @@ def _pair_masks(family: PolygonFamily) -> tuple:
       (the members touch at an edge point); h_K > 0 off n, so the pair
       fails only at the two point elements;
     - 4 roots: 0 is a vertex of K or lies outside K, and the zeros Z bound
-      an arc A narrower than pi on which h_K <= 0.  The runs between the
-      4 roots alternate: A and -A fail, the two runs between them pass, so
-      one evaluation, on the gap after the first root, sets the phase.
-    Any other count raises `InvariantViolation`.  A 2-root pair is also
+      an arc A narrower than pi on which h_K <= 0.  In circular order the
+      roots are then z, z', -z, -z' with Z = {z, z'}, so the two roots of Z
+      are adjacent, and the runs between the 4 roots alternate: A and -A
+      fail, the two runs between them pass.  The phase follows from where
+      Z sits: for sorted roots a < b < c < d the run from a to b fails iff
+      a and b are both in Z or both in -Z.  Two distinct zeros among four
+      roots closed under negation are always adjacent, so a pair whose Z
+      is not exactly two directions raises `InvariantViolation`.
+    Any other count raises `InvariantViolation` too.  A 2-root pair is
     evaluated on the gaps on both sides of one root, which must pass: a
     4-root pair that lost a zero fails on one of them.  (An edge contact
     that lost its zero would read as an overlap; only an evaluation at n
     itself could tell.)
+
+    Each polygon has one walk form; -P_j's is `_negated_form` of P_j's.
     """
     _, polys = family._int_data
     m = len(polys)
     forms = [_walk_form(verts) for verts in polys]
-    negated = [_walk_form(tuple((-x, -y) for x, y in verts)) for verts in polys]
+    negated = [_negated_form(form) for form in forms]
     own = {}
-    for pair in itertools.combinations(range(m), 2):
-        zeros = _walk_zeros(forms[pair[0]], negated[pair[1]], 1)
-        own[pair] = set(zeros).union([(-x, -y) for x, y in zeros])
-    roots = _sort_directions(
-        {(1, 0), (0, 1), (-1, 0), (0, -1)}.union(*own.values())
-    )
+    cut = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    for i, j in itertools.combinations(range(m), 2):
+        zeros = set(_walk_zeros(forms[i], negated[j], 1))
+        own[(i, j)] = zeros
+        cut |= zeros
+    roots = _sort_directions(cut.union([(-x, -y) for x, y in cut]))
     n_roots = len(roots)
     full = (1 << (2 * n_roots)) - 1
     at = {d: k for k, d in enumerate(roots)}
@@ -662,7 +692,8 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     def feasible_after(i, j, a):
         # root a is element 2a and the open gap after it element 2a + 1
         # (a = -1 is the last gap); the axes keep every gap under pi/2, so
-        # the sum of a gap's endpoints lies strictly inside it
+        # the sum of a gap's endpoints lies strictly inside it.  Only the
+        # side checks of a 2-root pair evaluate.
         p, q = roots[a], roots[(a + 1) % n_roots]
         tx, ty = p[0] + q[0], p[1] + q[1]
         si = [x * tx + y * ty for x, y in polys[i]]
@@ -674,8 +705,8 @@ def _pair_masks(family: PolygonFamily) -> tuple:
         return (1 << (2 * b)) - (1 << (2 * a + 1)) + (full if b <= a else 0)
 
     pair_masks = {}
-    for (i, j), pair_roots in own.items():
-        ks = sorted(at[d] for d in pair_roots)
+    for (i, j), zeros in own.items():
+        ks = sorted([at[d] for d in zeros.union([(-x, -y) for x, y in zeros])])
         if not ks:
             pair_masks[(i, j)] = full
         elif len(ks) == 2:
@@ -686,8 +717,13 @@ def _pair_masks(family: PolygonFamily) -> tuple:
                 )
             pair_masks[(i, j)] = full & ~(1 << (2 * a)) & ~(1 << (2 * b))
         elif len(ks) == 4:
+            if len(zeros) != 2:
+                raise InvariantViolation(
+                    f"pair {[i, j]} has 4 roots but {len(zeros)} zeros, "
+                    "not 2 adjacent ones"
+                )
             a, b, c, d = ks
-            if feasible_after(i, j, a):
+            if (roots[a] in zeros) != (roots[b] in zeros):
                 pair_masks[(i, j)] = run(a, b) | run(c, d)
             else:
                 pair_masks[(i, j)] = run(b, c) | run(d, a)
@@ -857,19 +893,44 @@ def _lemma(tag: str, expected: dict, holds, disjoint_pair=None):
 
 @dataclass(frozen=True)
 class TransversalVerdict:
-    """``component_count`` is the whole family's quotient component count
-    from the pair-mask kernel; ``witness`` recomputes it from the family's
-    own envelope profile and checks the two against each other."""
+    """``counts`` holds the quotient component counts from the pair-mask
+    kernel: every size-5 subfamily's, then every size-4 subfamily's, each
+    in `itertools.combinations` order, then the whole family's.
+    ``disjointness`` is the family's `disjointness_class`.  ``checks``
+    lists them as the verdict reports them; ``witness`` recomputes the
+    whole family's count from its own envelope profile and checks the two
+    against each other."""
 
     theorem: str
-    checks: tuple
+    disjointness: str
+    counts: tuple
     hypotheses_hold: bool
     family: PolygonFamily
-    component_count: int
+
+    @property
+    def component_count(self) -> int:
+        return self.counts[-1]
 
     @property
     def conclusion_holds(self) -> bool:
-        return self.component_count >= 1
+        return self.counts[-1] >= 1
+
+    @functools.cached_property
+    def checks(self) -> tuple:
+        members = range(self.family.size)
+        semipairwise = self.disjointness in ("pairwise_disjoint", "semipairwise_disjoint")
+        checks = [(("check", "semipairwise_disjoint"), ("observed", self.disjointness),
+                   ("pass", semipairwise))]
+        subsets = itertools.chain(itertools.combinations(members, 5),
+                                  itertools.combinations(members, 4))
+        for combo, count in zip(subsets, self.counts):
+            if len(combo) == 5:
+                checks.append((("check", "size5_nonempty"), ("indices", list(combo)),
+                               ("observed", count), ("pass", count >= 1)))
+            else:
+                checks.append((("check", "size4_connected"), ("indices", list(combo)),
+                               ("observed", count), ("pass", count == 1)))
+        return tuple(checks)
 
     @functools.cached_property
     def witness(self) -> dict:
@@ -898,12 +959,8 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
     m = family.size
     if m < 6:
         raise ContractViolation("the theorem needs a family of at least 6 members")
-    checks = []
     cls = disjointness_class(family)
     semipairwise = cls in ("pairwise_disjoint", "semipairwise_disjoint")
-    checks.append(
-        (("check", "semipairwise_disjoint"), ("observed", cls), ("pass", semipairwise))
-    )
     combos5 = list(itertools.combinations(range(m), 5))
     combos4 = list(itertools.combinations(range(m), 4))
     kernel = _pair_masks(family)
@@ -920,31 +977,13 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
                     f"triple {[i, j, k]} of a semipairwise-disjoint family "
                     "has the full circle of transversal directions"
                 )
-    for combo, count in zip(combos5, counts):
-        checks.append(
-            (
-                ("check", "size5_nonempty"),
-                ("indices", list(combo)),
-                ("observed", count),
-                ("pass", count >= 1),
-            )
-        )
-    for combo, count in zip(combos4, counts[len(combos5):]):
-        checks.append(
-            (
-                ("check", "size4_connected"),
-                ("indices", list(combo)),
-                ("observed", count),
-                ("pass", count == 1),
-            )
-        )
     n5 = len(combos5)
     hypotheses_hold = (
         semipairwise
         and all(c >= 1 for c in counts[:n5])
         and all(c == 1 for c in counts[n5:-1])
     )
-    return TransversalVerdict("thm-321", tuple(checks), hypotheses_hold, family, counts[-1])
+    return TransversalVerdict("thm-321", cls, tuple(counts), hypotheses_hold, family)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,17 +1076,28 @@ def random_stabbed_family(m: int, seed: int, jitter: float) -> PolygonFamily:
     if m < 1:
         raise ContractViolation("m must be >= 1")
     rng = random.Random(f"stabbed-family:{m}:{seed}:{jitter}:{_STAB_SPACING}:{_STAB_SIZE}")
-    phi = rng.uniform(0.0, math.pi)
+    unit, getrandbits = rng.random, rng.getrandbits
+    # rng.uniform(a, b) computes a + (b - a) * rng.random(), and
+    # rng.randint(lo, hi) adds lo to the first getrandbits(bits) draw below
+    # hi - lo + 1; the draws below inline both
+    lo, hi = _STAB_POINTS
+    n_span = hi - lo + 1
+    bits = n_span.bit_length()
+    phi = math.pi * unit()
     ux, uy = math.cos(phi), math.sin(phi)
     px, py = -uy, ux
     members, scaled = [], []
     for k in range(m):
-        for attempt in range(60):
-            along = (k - (m - 1) / 2.0) * _STAB_SPACING + rng.uniform(-0.25, 0.25) * _STAB_SPACING
-            off = rng.uniform(-jitter, jitter)
+        base = (k - (m - 1) / 2.0) * _STAB_SPACING
+        for _ in range(60):
+            along = base + (-0.25 + 0.5 * unit()) * _STAB_SPACING
+            off = -jitter + 2 * jitter * unit()
             center = (along * ux + off * px, along * uy + off * py)
-            radius = _STAB_SIZE * rng.uniform(0.55, 1.0)
-            poly = random_convex_polygon(rng, center, radius, rng.randint(*_STAB_POINTS))
+            radius = _STAB_SIZE * (0.55 + (1.0 - 0.55) * unit())
+            n = getrandbits(bits)
+            while n >= n_span:
+                n = getrandbits(bits)
+            poly = random_convex_polygon(rng, center, radius, lo + n)
             verts = _at(poly, _GRID)
             if _placement_ok(verts, scaled):
                 members.append(poly)

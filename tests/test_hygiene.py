@@ -145,8 +145,8 @@ def test_package_has_no_assert_statements(path):
 # The pair-mask kernel and the checks it rests on decide every sign in
 # integer arithmetic; a float there could decide one wrongly.
 EXACT_KERNELS = (
-    "_walk_form", "_walk_zeros", "_pair_masks", "_subfamily_counts",
-    "_sort_directions", "_interiors_overlap", "_set_lattice",
+    "_walk_form", "_negated_form", "_walk_zeros", "_pair_masks", "_subfamily_counts",
+    "_sort_directions", "_interiors_overlap", "_set_lattice", "_convex_hull",
 )
 
 

@@ -22,9 +22,12 @@ from helly_topo.transversal_plane import (
     _convex_hull,
     _cross,
     _cyclic_runs,
+    _at,
     _interiors_overlap,
     _neg,
+    _negated_form,
     _pair_masks,
+    _placement_ok,
     _primitive,
     _sort_directions,
     _strictly_inside,
@@ -592,6 +595,23 @@ def test_walk_matches_reference_on_stabbed_families():
                 _assert_walk_matches_reference(a, b)
 
 
+def _assert_negated_form_matches_walk_form(polys):
+    for verts in polys:
+        neg = tuple((-x, -y) for x, y in verts)
+        assert _negated_form(_walk_form(verts)) == _walk_form(neg), verts
+
+
+def test_negated_form_matches_the_walk_form_of_the_negation():
+    _assert_negated_form_matches_walk_form(_lattice_hulls())
+    for path in sorted(CORPUS.glob("poly*.json")):
+        _assert_negated_form_matches_walk_form(load_polygon_family(path)._int_data[1])
+    for m in (6, 7, 8):
+        for seed in range(10):
+            for jitter in (0.05, 0.4, 1.2):
+                _, polys = random_stabbed_family(m, seed, jitter=jitter)._int_data
+                _assert_negated_form_matches_walk_form(polys)
+
+
 def test_edge_touching_pair_flags_tangent_direction():
     # squares sharing a full edge: the line along the shared edge touches
     # both boundaries but neither interior, so its direction is an isolated
@@ -974,6 +994,160 @@ def test_pair_masks_raise_on_a_dropped_zero(monkeypatch, drop):
         _pair_masks(fam)
 
 
+def _one_gap_phase_masks(fam) -> dict:
+    """Every 4-root pair's mask with its phase set as `_pair_masks` once
+    set it, by one evaluation on the open gap after the pair's first root
+    in the common cut: the run from that root to the next passes iff the
+    gap does, and the runs alternate.  Maps each such pair to its mask and
+    whether that gap passes."""
+    _, polys = fam._int_data
+    own = {pair: _own_roots(polys, *pair) for pair in itertools.combinations(range(fam.size), 2)}
+    roots = sorted(set(AXES).union(*own.values()), key=functools.cmp_to_key(_dir_cmp))
+    n = len(roots)
+    full = (1 << (2 * n)) - 1
+
+    def run(a, b):
+        return (1 << (2 * b)) - (1 << (2 * a + 1)) + (full if b <= a else 0)
+
+    masks = {}
+    for (i, j), pair_roots in own.items():
+        if len(pair_roots) != 4:
+            continue
+        a, b, c, d = sorted(roots.index(r) for r in pair_roots)
+        p, q = roots[a], roots[(a + 1) % n]
+        passes = _feasibility_sign_at((polys[i], polys[j]), (p[0] + q[0], p[1] + q[1])) > 0
+        masks[(i, j)] = (run(a, b) | run(c, d) if passes else run(b, c) | run(d, a), passes)
+    return masks
+
+
+def _assert_zero_phase_matches_one_gap_phase(fam) -> list:
+    """The kernel's 4-root masks against `_one_gap_phase_masks`; returns
+    whether the gap after the first root passes, pair by pair."""
+    _, masks = _pair_masks(fam)
+    phases = []
+    for pair, (mask, passes) in _one_gap_phase_masks(fam).items():
+        assert masks[pair] == mask, pair
+        phases.append(passes)
+    return phases
+
+
+def test_zero_phase_matches_the_one_gap_evaluation_on_stabbed_families():
+    phases = []
+    for m in (6, 7, 8):
+        for seed in range(8):
+            for jitter in (0.05, 0.4, 1.2):
+                phases += _assert_zero_phase_matches_one_gap_phase(
+                    random_stabbed_family(m, seed, jitter=jitter)
+                )
+    # both phases come up, each many times
+    assert min(phases.count(True), phases.count(False)) > 100
+
+
+@pytest.mark.parametrize("name", ["vertex-on-vertex", "separated"])
+def test_zero_phase_matches_the_one_gap_evaluation_on_contact_pairs(name):
+    pair, _ = CONTACT_PAIRS[name]
+    fam = PolygonFamily(pair + (square(1, 6),))
+    assert len(_assert_zero_phase_matches_one_gap_phase(fam)) == 3
+
+
+@pytest.mark.parametrize("extra", ["antipode", "both-antipodes"])
+def test_pair_masks_raise_on_non_adjacent_zeros(monkeypatch, extra):
+    # the walk returns Z = {z, z'}; adding -z keeps the 4 roots but puts
+    # two antipodal, so non-adjacent, roots in Z
+    fam = random_stabbed_family(6, 0, jitter=0.4)
+    walk = transversal_plane._walk_zeros
+
+    def mutant(f_form, g_form, sign):
+        zeros = walk(f_form, g_form, sign)
+        added = zeros[:1] if extra == "antipode" else sorted(set(zeros))
+        return zeros + [(-x, -y) for x, y in added]
+
+    monkeypatch.setattr(transversal_plane, "_walk_zeros", mutant)
+    zeros = 3 if extra == "antipode" else 4
+    with pytest.raises(InvariantViolation, match=f"4 roots but {zeros} zeros"):
+        _pair_masks(fam)
+
+
+# PUNCTURED_TRIPLE, then a bar that overlaps the small square P3 and a
+# square P5 disjoint from P3, then a square further along: semipairwise but
+# not pairwise disjoint, with 0-root pairs (P3, P4) and (P4, P5), the
+# 2-root pair (P1, P2), whose members touch at the triangle's apex, and
+# 4-root pairs.  The puncture splits many subfamilies' spaces in two.
+SEMIPAIRWISE_FAMILY = PUNCTURED_TRIPLE.members + (
+    ConvexPolygon((("9/2", "9/10"), (9, "9/10"), (9, "11/10"), ("9/2", "11/10"))),
+    square(8.5, 1),
+    square(12, 1),
+)
+
+
+def _eager_checks(fam) -> tuple:
+    """`verify_theorem_321`'s check list as a verdict once built it, in
+    full on every call."""
+    m = fam.size
+    cls = disjointness_class(fam)
+    combos5 = list(itertools.combinations(range(m), 5))
+    combos4 = list(itertools.combinations(range(m), 4))
+    counts = _subfamily_counts(_pair_masks(fam), combos5 + combos4)
+    checks = [(("check", "semipairwise_disjoint"), ("observed", cls),
+               ("pass", cls in ("pairwise_disjoint", "semipairwise_disjoint")))]
+    for combo, count in zip(combos5, counts):
+        checks.append((("check", "size5_nonempty"), ("indices", list(combo)),
+                       ("observed", count), ("pass", count >= 1)))
+    for combo, count in zip(combos4, counts[len(combos5):]):
+        checks.append((("check", "size4_connected"), ("indices", list(combo)),
+                       ("observed", count), ("pass", count == 1)))
+    return tuple(checks)
+
+
+@pytest.mark.parametrize("extra, whole", [((), 2), ((square(-2, 6),), 0)],
+                         ids=["m6-two-components", "m7-no-transversal"])
+def test_theorem_321_on_a_semipairwise_family(extra, whole):
+    fam = PolygonFamily(SEMIPAIRWISE_FAMILY + extra)
+    m = fam.size
+    assert disjointness_class(fam) == "semipairwise_disjoint"
+    _, polys = fam._int_data
+    root_counts = {pair: len(_own_roots(polys, *pair))
+                   for pair in itertools.combinations(range(m), 2)}
+    assert {pair for pair, n in root_counts.items() if n != 4} == {(0, 1), (2, 3), (3, 4)}
+    assert (root_counts[(0, 1)], root_counts[(2, 3)], root_counts[(3, 4)]) == (2, 0, 0)
+
+    verdict = verify_theorem_321(fam)
+    checks = [dict(c) for c in verdict.checks]
+    assert checks[0] == {
+        "check": "semipairwise_disjoint", "observed": "semipairwise_disjoint", "pass": True
+    }
+    assert [c["indices"] for c in checks[1:]] == [
+        list(c) for k in (5, 4) for c in itertools.combinations(range(m), k)
+    ]
+    for check in checks[1:]:
+        summary = components(transversal_profile(subfamily(fam, check["indices"])))
+        assert check["observed"] == summary.component_count, check
+    observed = {c["observed"] for c in checks[1:]}
+    assert observed == ({1, 2} if whole else {0, 1, 2})
+    # some size-4 subfamily has two components, so the hypotheses fail
+    assert not verdict.hypotheses_hold
+    assert verdict.component_count == verdict.witness["component_count"] == whole
+    assert verdict.conclusion_holds == (whole >= 1)
+    assert verdict.checks == _eager_checks(fam)
+
+
+def test_checks_match_the_eager_list():
+    families = [PolygonFamily(SEMIPAIRWISE_FAMILY), PolygonFamily(
+        (square(0, 0), square(12, 0), square(0, 12), square(12, 12), square(6, 0), square(6, 12))
+    )]
+    for m in (6, 7, 8):
+        for seed in range(4):
+            for jitter in (0.05, 0.4, 1.2):
+                families.append(random_stabbed_family(m, seed, jitter=jitter))
+    passes = set()
+    for fam in families:
+        verdict = verify_theorem_321(fam)
+        assert "checks" not in vars(verdict)  # built only when read
+        assert verdict.checks == _eager_checks(fam)
+        passes.update(dict(c)["pass"] for c in verdict.checks)
+    assert passes == {True, False}
+
+
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
@@ -1283,6 +1457,43 @@ def test_random_convex_polygon_matches_the_uniform_reference(seed, center, radiu
             assert random_convex_polygon(rng, center, radius, n_points) == expected
         # both consumed the same draws
         assert rng.getstate() == ref.getstate()
+
+
+def _reference_random_stabbed_family(m, seed, jitter):
+    """`random_stabbed_family` with each draw by rng.uniform and rng.randint."""
+    rng = random.Random(f"stabbed-family:{m}:{seed}:{jitter}:3.0:0.9")
+    phi = rng.uniform(0.0, math.pi)
+    ux, uy = math.cos(phi), math.sin(phi)
+    px, py = -uy, ux
+    members, scaled = [], []
+    for k in range(m):
+        for _ in range(60):
+            along = (k - (m - 1) / 2.0) * 3.0 + rng.uniform(-0.25, 0.25) * 3.0
+            off = rng.uniform(-jitter, jitter)
+            center = (along * ux + off * px, along * uy + off * py)
+            radius = 0.9 * rng.uniform(0.55, 1.0)
+            poly = random_convex_polygon(rng, center, radius, rng.randint(4, 10))
+            verts = _at(poly, 10 ** 4)
+            if _placement_ok(verts, scaled):
+                members.append(poly)
+                scaled.append(verts)
+                break
+        else:
+            raise GenerationFailure(f"could not place member {k + 1} of a stabbed family")
+    return PolygonFamily(tuple(members))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 8),
+    seed=st.integers(-10 ** 6, 10 ** 6),
+    jitter=st.floats(0.0, 3.0),
+)
+@example(m=8, seed=0, jitter=0.05)
+@example(m=6, seed=7, jitter=1.2)
+def test_random_stabbed_family_matches_the_uniform_reference(m, seed, jitter):
+    assert random_stabbed_family(m, seed, jitter) == \
+        _reference_random_stabbed_family(m, seed, jitter)
 
 
 # --- sweeps ----------------------------------------------------------------
