@@ -67,12 +67,14 @@ class _Index:
     ``dim_masks[k]`` holds the k-simplices, ``facets[i]`` the bits of
     ``order[i]``'s codimension-1 faces, ``closures[i]`` those of all its
     faces (itself included) and ``edges[j]`` the vertex bits of the edge
-    at bit V + j.  Looking up a facet that is not in the complex raises
-    KeyError, so the build checks face closure (codimension-1 faces
-    suffice by induction).
+    at bit V + j.  ``roots`` is ``list(range(V))``, the union-find start
+    that homology copies for each component count.  Looking up a facet
+    that is not in the complex raises KeyError, so the build checks face
+    closure (codimension-1 faces suffice by induction).
     """
 
-    __slots__ = ("order", "bit", "dim_masks", "facets", "closures", "n_vertices", "edges")
+    __slots__ = ("order", "bit", "dim_masks", "facets", "closures", "n_vertices", "edges",
+                 "roots")
 
     def __init__(self, simplices):
         self.order = tuple(sorted(simplices, key=lambda s: (len(s), s)))
@@ -96,6 +98,7 @@ class _Index:
         self.facets = tuple(facets)
         self.closures = tuple(closures)
         self.n_vertices = dim_masks[0].bit_count() if dim_masks else 0
+        self.roots = list(range(self.n_vertices))
         self.edges = tuple(
             (self.bit[s[:1]], self.bit[s[1:]]) for s in self.order if len(s) == 2
         )
@@ -228,7 +231,7 @@ class SubcomplexFamily:
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("member labels must be unique")
         for sub in self.members:
-            if sub.parent != self.ambient:
+            if sub.parent is not self.ambient and sub.parent != self.ambient:
                 raise ValidationError("all members must share the family's ambient complex")
         self.__dict__.update(_meets=_Lattice(self.members, _meet),
                              _joins=_Lattice(self.members, _join))
@@ -276,7 +279,11 @@ def _check_indices(family: SubcomplexFamily, indices) -> tuple:
 
 def _meet(a: Subcomplex, b: Subcomplex) -> Subcomplex:
     """Simplex-set intersection of two subcomplexes of one ambient; its
-    ``parts`` are None."""
+    ``parts`` are None.  An empty ``a`` is returned itself, which is
+    exact: the intersection stays empty, and an empty subcomplex (a
+    prefix's intersection or a parsed member) has ``parts`` None."""
+    if not a.mask:
+        return a
     return Subcomplex._from_mask(a.parent, a.mask & b.mask)
 
 
@@ -328,7 +335,9 @@ def intersect_members(family: SubcomplexFamily, indices) -> Subcomplex:
     The family keeps every intersection it is asked for, so each is built
     once, by one ``_meet`` of its prefix's (itself built on demand) and its
     last member: `run_verifier` asks for subfamilies in order of size, and
-    each ledger entry costs one ``&``.
+    each ledger entry costs one ``&``, or none when its prefix's
+    intersection is empty: an empty intersection absorbs its extensions,
+    and the entry is that empty subcomplex itself.
     """
     return family._meets[_check_indices(family, indices)]
 

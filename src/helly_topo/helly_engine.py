@@ -172,10 +172,6 @@ def theorem_params(tag: str, d: int, lam: int) -> dict:
     return {param: lam if param == "lambda" else d}
 
 
-def _combine(family, kind, indices) -> Subcomplex:
-    return (intersect_members if kind == "intersection" else union_members)(family, indices)
-
-
 def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField = GF2,
                  d: int = 2, lam: int = 0) -> Verdict:
     """Evaluate a THEOREMS row: the hypothesis ledger, one entry per
@@ -205,6 +201,7 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
         raise ContractViolation("lambda must be >= 0")
     entries = []
     for kind, sizes, degree_of in row.hypotheses:
+        combine = intersect_members if kind == "intersection" else union_members
         for j in sizes(m, p):
             degree = degree_of(m, j, p)
             vacuous = degree < -1 or degree > dim
@@ -212,13 +209,14 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
                 if vacuous:
                     entries.append(LedgerEntry(combo, kind, degree, None, "vacuous"))
                 else:
-                    observed = betti_number(_combine(family, kind, combo), degree, field)
+                    observed = betti_number(combine(family, combo), degree, field)
                     status = "pass" if observed == 0 else "fail"
                     entries.append(LedgerEntry(combo, kind, degree, observed, status))
     ledger = HypothesisLedger(tuple(entries), theorem_params(theorem, d, lam))
     if row.conclusion in ("union", "intersection"):
         degree = row.conclusion_degree(m, p)
-        observed = betti_number(_combine(family, row.conclusion, range(m)), degree, field)
+        combine = intersect_members if row.conclusion == "intersection" else union_members
+        observed = betti_number(combine(family, range(m)), degree, field)
         holds = observed == 0
         witness = {"kind": row.conclusion, "degree": degree, "observed": observed}
     else:
@@ -277,17 +275,21 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
     members = []
     # Triangles are positions in sorted order and the frontier list is kept
     # sorted by insertion, so each draw indexes the frontier in sorted
-    # triangle order, as rng.choice(sorted(...)) would.  The draw is
-    # randrange(n)'s own rejection loop over getrandbits(n.bit_length()),
-    # inlined to skip its argument handling: it consumes the same bits and
-    # returns the same integer.  test_random_family_draws_are_pinned pins the
-    # draws, and test_random_family_matches_the_randrange_reference checks
-    # them against a randrange copy of this loop.
+    # triangle order, as rng.choice(sorted(...)) would.  Every draw, the
+    # start triangle's included, is randrange(n)'s own rejection loop over
+    # getrandbits(n.bit_length()), the draw rng.choice makes, inlined to
+    # skip its argument handling: it consumes the same bits and returns the
+    # same integer.  test_random_family_draws_are_pinned pins the draws, and
+    # test_random_family_matches_the_randrange_reference checks them against
+    # a randrange copy of this loop.
     getrandbits = rng.getrandbits
     insort = bisect.insort
-    positions = range(len(closures))
+    n_tris = len(closures)
+    k_tris = n_tris.bit_length()
     for _ in range(m):
-        start = rng.choice(positions)
+        start = getrandbits(k_tris)
+        while start >= n_tris:
+            start = getrandbits(k_tris)
         mask = closures[start]
         frontier = list(adjacency[start])
         pop = frontier.pop

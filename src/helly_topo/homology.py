@@ -200,12 +200,14 @@ def betti_number(cx, k: int, field: CoefficientField = GF2) -> int:
 def _components(index, mask, parts=None) -> int:
     """Connected components of the mask's 1-skeleton: the number of
     ``parts`` when they are known, else a union-find over the vertex bits,
-    joined along the mask's edges."""
+    joined along the mask's edges.  The union-find copies the index's
+    prebuilt root list and decodes only the mask's edge bits, not the
+    simplices above them."""
     if parts is not None:
         return len(parts)
-    root = list(range(index.n_vertices))
+    root = index.roots.copy()
     merges = 0
-    for u, v in _select(index.edges, mask >> index.n_vertices):
+    for u, v in _select(index.edges, _dim_mask(index, mask, 1) >> index.n_vertices):
         while root[u] != u:
             root[u] = u = root[root[u]]
         while root[v] != v:

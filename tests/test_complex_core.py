@@ -1,5 +1,8 @@
+import functools
 import itertools
 import json
+import operator
+import random
 from collections import Counter
 
 import pytest
@@ -337,3 +340,54 @@ def test_mask_operations_stay_face_closed_on_closed_surfaces(data, name, m):
         got = combine(fam, indices)
         assert got == Subcomplex(ambient, got.member_simplices)
         assert got.member_simplices == expected
+
+
+def _lattice_families():
+    """Random families over the generator's parameter range (grid 4-12,
+    up to 6 members, growth 0-40), then a parsed family with an empty
+    second member whose others meet in one edge or not at all."""
+    rng = random.Random("lattice-oracle")
+    for _ in range(40):
+        yield random_family(rng.randint(4, 12), rng.randint(2, 6), rng.randint(0, 40),
+                            seed=rng.randrange(10 ** 6))
+    yield parse_family(json.dumps({
+        "ambient": [[0, 1, 2], [1, 2, 3], [3, 4]],
+        "embedding_dim": 2,
+        "members": [
+            {"label": "A", "simplices": [[0, 1, 2]]},
+            {"label": "E", "simplices": []},
+            {"label": "B", "simplices": [[1, 2, 3]]},
+            {"label": "C", "simplices": [[3, 4]]},
+        ],
+    }))
+
+
+def test_lattice_entries_match_the_mask_folds():
+    """Every ``_meets`` entry is the ``&`` fold of its members' masks and
+    every ``_joins`` entry the ``|`` fold; a meet of two or more members
+    has ``parts`` None, and one whose prefix is empty is that prefix
+    object.  Kills the planted variants "absorb a nonempty operand"
+    (``_meet`` returns ``a`` when ``b`` is empty, or when ``b`` contains
+    it) and "absorb in ``_join``" (``_join`` returns an empty ``a``
+    itself)."""
+    absorbed = nonempty = 0
+    for fam in _lattice_families():
+        masks = [sub.mask for sub in fam.members]
+        for j in range(1, fam.size + 1):
+            for combo in itertools.combinations(range(fam.size), j):
+                intersect_members(fam, combo)
+                union_members(fam, combo)
+        for lattice, fold in ((fam._meets, operator.and_), (fam._joins, operator.or_)):
+            assert len(lattice) == 2 ** fam.size - 1
+            for key, sub in lattice.items():
+                assert sub.mask == functools.reduce(fold, (masks[i] for i in key)), key
+                assert sub.parent is fam.ambient
+        for key, sub in fam._meets.items():
+            if len(key) > 1:
+                assert sub.parts is None, key
+                prefix = fam._meets[key[:-1]]
+                if prefix.is_empty:
+                    assert sub is prefix, key
+                    absorbed += 1
+                nonempty += not sub.is_empty
+    assert absorbed and nonempty

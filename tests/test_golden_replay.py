@@ -71,6 +71,15 @@ PINNED_REPORTS = [
     # at lambda 0 it sits at degree 1, where a planar union can have homology
     ("thm-b-q", "sweep --theorem thm-b --lambda 0 --m 3 --growth 40 --field q --trials 2000 --seed 7",
      "9dcd7da9cd97a249847f1790ef8e9b4a211fb915d4bb141df4114b45a5b56e09"),
+    # helly-intersect's configuration over 2000 trials, beyond the benchmark's
+    # golden prefixes: pair meets count components by union-find, and most
+    # longer meets extend an empty prefix
+    ("helly-m5", "sweep --theorem helly --m 5 --growth 12 --trials 2000 --seed 7",
+     "64ae8cb97f4accf210619a8e15b16e9e9ab06e5ce7220039b684fe5d0d9423b1"),
+    # breen at growth 40, where a few hypotheses hold: its union ledger reads
+    # b0 off merged parts, and reading it as 0 reports 33 violations
+    ("breen-g40", "sweep --theorem breen --m 4 --growth 40 --trials 2000 --seed 7",
+     "5b42f77600a04a4b990cdd0668b2905e5684c65cba65b82717c2236c18e1933e"),
     # the rational homology of one large member, the union of
     # random_family(12, 4, 120, 3) with 285 triangles: no benchmark workload
     # runs rational elimination on an input this size

@@ -717,3 +717,33 @@ def test_b0_cross_check_catches_a_union_find_bug_in_a_sweep(monkeypatch, field):
     monkeypatch.setattr(homology, "_components", _components_dropping_last_edge)
     with pytest.raises(InvariantViolation, match="disagrees with graph components"):
         sweep("helly", 20, m=3, growth_steps=30, seed=7, field=field)
+
+
+def _component_oracle_inputs():
+    """(name, ambient, mask) of every parts-less mask the oracle checks."""
+    for seed in range(30):
+        helly = random_family(12, 5, 12, seed)
+        for combo in itertools.combinations(range(5), 2):
+            yield f"helly {seed} {combo}", helly.ambient, intersect_members(helly, combo).mask
+        prop_a = random_family(12, 2, 40, seed)
+        yield f"prop-a {seed}", prop_a.ambient, intersect_members(prop_a, (0, 1)).mask
+    for seed in range(10):
+        breen = random_family(12, 4, 120, seed)
+        for combo in itertools.combinations(range(4), 3):
+            yield f"breen {seed} {combo}", breen.ambient, union_members(breen, combo).mask
+    grid = grid_complex(12)
+    yield "grid 12", grid, _indexed(grid)[1]
+    for name in ("tetrahedron_boundary", "torus_7", "projective_plane_6"):
+        surface = known_spaces()[name][0]
+        yield name, surface, _indexed(surface)[1]
+
+
+def test_union_find_component_count_matches_a_graph_search():
+    # the union-find, with parts None, against _reference_parts' graph search
+    counts = set()
+    for name, ambient, mask in _component_oracle_inputs():
+        got = _components(ambient._index, mask)
+        want = len(_reference_parts(Subcomplex._from_mask(ambient, mask)))
+        assert got == want, f"{name}: mask {mask:#x}"
+        counts.add(got)
+    assert {0, 1, 2} <= counts  # empty, connected and disconnected masks
