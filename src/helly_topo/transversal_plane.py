@@ -25,8 +25,11 @@ support functions cross give the envelope panel stops, and the zeros of the
 support function of a pair's Minkowski difference give the pair's
 feasibility roots.  Each polygon's walk form is built once, and -P's is
 derived from P's.  From those roots alone the thm-321 kernel counts the
-components of every subfamily, the whole family included: where a pair's
-own zeros sit among its roots fixes which runs between them are feasible.
+components of every subfamily, the whole family included.  All pairs'
+roots and the axes form one cut of the circle, closed under negation: it
+is sorted once over its U directions in the upper half, and -d sits at
+index a + U when d sits at a, so each pair's roots are placed by index,
+and where its own zeros sit among them fixes which runs are feasible.
 So a thm-321 sweep builds no envelope profile; a verdict builds the whole
 family's profile only when its witness is read, and checks it against the
 kernel, and lists its checks only when they are read.
@@ -285,50 +288,51 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
     x.p and x.q have opposite signs.  If x = 0 the function vanishes on the
     whole arc, and both its endpoints are zeros.  Every value is an integer.
     The supporting vertices of both arcs that meet at q support q, so x.q
-    is also the next arc's value at its p: one dot product per arc.
+    is also the next arc's value at its p: one dot product per arc.  Past
+    q the walk advances f, g or both along the edges whose normal q is, so
+    x moves by f's edge, by sign times g's, or by both.
     """
     out = []
     fv, fe, fn = f_form
     gv, ge, gn = g_form
-    nf, ng = len(fv), len(gv)
+    nf, ng = len(fe), len(ge)
     # the first arc opens at the later of the two last normals
     (ax, ay), (bx, by) = fe[-1], ge[-1]
-    p = gn[-1] if ax * by - ay * bx >= 0 else fn[-1]
-    px, py = p
+    px, py = gn[-1] if ax * by - ay * bx >= 0 else fn[-1]
     (fx, fy), (gx, gy) = fv[0], gv[0]
-    at_p = (fx + sign * gx) * px + (fy + sign * gy) * py
+    xx, xy = fx + sign * gx, fy + sign * gy
+    at_p = xx * px + xy * py
     i = j = 0
     while i < nf or j < ng:
-        fx, fy = fv[i % nf]
-        gx, gy = gv[j % ng]
         if j == ng:
             turn = 1
+            ax, ay = fe[i]
         elif i == nf:
             turn = -1
+            bx, by = ge[j]
         else:
             (ax, ay), (bx, by) = fe[i], ge[j]
             turn = ax * by - ay * bx
-        if turn >= 0:
-            q = fn[i]
-            i += 1
-            if turn == 0:
-                j += 1
-        else:
-            q = gn[j]
-            j += 1
-        qx, qy = q
-        xx, xy = fx + sign * gx, fy + sign * gy
+        qx, qy = fn[i] if turn >= 0 else gn[j]
         at_q = xx * qx + xy * qy
         if at_p == 0:
-            out.append(p)
+            out.append((px, py))
             if xx == 0 and xy == 0:
-                out.append(q)
+                out.append((qx, qy))
         elif at_q != 0 and (at_p > 0) != (at_q > 0):
             # perp(x) / gcd, turned to the side of p it lies past
             g = gcd(xx, xy)
             rx, ry = -xy // g, xx // g
             out.append((rx, ry) if px * ry - py * rx > 0 else (-rx, -ry))
-        p, px, py, at_p = q, qx, qy, at_q
+        if turn >= 0:
+            i += 1
+            xx += ax
+            xy += ay
+        if turn <= 0:
+            j += 1
+            xx += sign * bx
+            xy += sign * by
+        px, py, at_p = qx, qy, at_q
     return out
 
 
@@ -647,7 +651,9 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     every direction where its feasibility can change.  All pairs' roots and
     the four axes cut the circle into point elements and open gaps; bit e
     of a pair's mask says whether element e is feasible, and ``full`` has
-    every element's bit set.
+    every element's bit set.  The cut is closed under negation, so it is
+    sorted once, over its U directions in the upper half (y > 0, or y = 0
+    and x > 0): root a < U is one of those, and -roots[a] is root a + U.
 
     A pair is infeasible at each of its own roots, where h_K vanishes at t
     or at -t, and K has interior, so h_K vanishes only where a support line
@@ -662,10 +668,11 @@ def _pair_masks(family: PolygonFamily) -> tuple:
       roots are then z, z', -z, -z' with Z = {z, z'}, so the two roots of Z
       are adjacent, and the runs between the 4 roots alternate: A and -A
       fail, the two runs between them pass.  The phase follows from where
-      Z sits: for sorted roots a < b < c < d the run from a to b fails iff
-      a and b are both in Z or both in -Z.  Two distinct zeros among four
-      roots closed under negation are always adjacent, so a pair whose Z
-      is not exactly two directions raises `InvariantViolation`.
+      Z sits: the roots are a < b < a + U < b + U, and the run from a to b
+      fails iff a and b are both in Z or both in -Z, that is iff both
+      zeros lie in one half.  Two distinct zeros among four roots closed
+      under negation are always adjacent, so a pair whose Z is not exactly
+      two directions raises `InvariantViolation`.
     Any other count raises `InvariantViolation` too.  A 2-root pair is
     evaluated on the gaps on both sides of one root, which must pass: a
     4-root pair that lost a zero fails on one of them.  (An edge contact
@@ -679,15 +686,22 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     forms = [_walk_form(verts) for verts in polys]
     negated = [_negated_form(form) for form in forms]
     own = {}
-    cut = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    cut = set()
     for i, j in itertools.combinations(range(m), 2):
-        zeros = set(_walk_zeros(forms[i], negated[j], 1))
-        own[(i, j)] = zeros
-        cut |= zeros
-    roots = _sort_directions(cut.union([(-x, -y) for x, y in cut]))
-    n_roots = len(roots)
+        own[(i, j)] = zeros = _walk_zeros(forms[i], negated[j], 1)
+        cut.update(zeros)
+    # one direction of each +- pair of the cut, as `_upper_half` picks it
+    half = _sort_directions(
+        [(x, y) if y > 0 or (y == 0 and x > 0) else (-x, -y) for x, y in cut]
+        + [(1, 0), (0, 1)]
+    )
+    u = len(half)
+    roots = half + [(-x, -y) for x, y in half]
+    n_roots = 2 * u
     full = (1 << (2 * n_roots)) - 1
-    at = {d: k for k, d in enumerate(roots)}
+    at = dict(zip(roots, range(n_roots)))
+    # times a bitset of the upper half's elements, adds its copy U roots on
+    spread = 1 + (1 << (2 * u))
 
     def feasible_after(i, j, a):
         # root a is element 2a and the open gap after it element 2a + 1
@@ -700,36 +714,45 @@ def _pair_masks(family: PolygonFamily) -> tuple:
         sj = [x * tx + y * ty for x, y in polys[j]]
         return max(si) > min(sj) and max(sj) > min(si)
 
-    def run(a, b):
-        # elements 2a + 1 .. 2b - 1, wrapping past element 0 when b <= a
-        return (1 << (2 * b)) - (1 << (2 * a + 1)) + (full if b <= a else 0)
-
     pair_masks = {}
     for (i, j), zeros in own.items():
-        ks = sorted([at[d] for d in zeros.union([(-x, -y) for x, y in zeros])])
-        if not ks:
+        ks = {at[d] for d in zeros}
+        if len(ks) == 2:
+            z, w = ks
+            # root k and its antipode, (k + U) mod 2U, share k mod U
+            a, b = z % u, w % u
+            if a != b:
+                # 4 roots a < b < a + U < b + U and 2 zeros: root a (or b)
+                # holds a zero iff that zero lies in the upper half
+                if a > b:
+                    a, b = b, a
+                # the runs from a to b and from a + U to b + U: elements
+                # 2a + 1 .. 2b - 1 and their copy U roots on
+                arc = ((1 << (2 * b)) - (1 << (2 * a + 1))) * spread
+                if (z < u) != (w < u):
+                    pair_masks[(i, j)] = arc
+                else:
+                    points = ((1 << (2 * a)) | (1 << (2 * b))) * spread
+                    pair_masks[(i, j)] = full ^ arc ^ points
+                continue
+        reps = sorted({k % u for k in ks})
+        if not reps:
             pair_masks[(i, j)] = full
-        elif len(ks) == 2:
-            a, b = ks
+        elif len(reps) == 1:
+            a = reps[0]
             if not (feasible_after(i, j, a) and feasible_after(i, j, a - 1)):
                 raise InvariantViolation(
                     f"pair {[i, j]} has 2 roots but is infeasible beside one"
                 )
-            pair_masks[(i, j)] = full & ~(1 << (2 * a)) & ~(1 << (2 * b))
-        elif len(ks) == 4:
-            if len(zeros) != 2:
-                raise InvariantViolation(
-                    f"pair {[i, j]} has 4 roots but {len(zeros)} zeros, "
-                    "not 2 adjacent ones"
-                )
-            a, b, c, d = ks
-            if (roots[a] in zeros) != (roots[b] in zeros):
-                pair_masks[(i, j)] = run(a, b) | run(c, d)
-            else:
-                pair_masks[(i, j)] = run(b, c) | run(d, a)
+            pair_masks[(i, j)] = full ^ ((1 << (2 * a)) * spread)
+        elif len(reps) == 2:
+            raise InvariantViolation(
+                f"pair {[i, j]} has 4 roots but {len(ks)} zeros, "
+                "not 2 adjacent ones"
+            )
         else:
             raise InvariantViolation(
-                f"pair {[i, j]} has {len(ks)} roots, not 0, 2 or 4"
+                f"pair {[i, j]} has {2 * len(reps)} roots, not 0, 2 or 4"
             )
     return full, pair_masks
 

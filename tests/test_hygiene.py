@@ -142,11 +142,14 @@ def test_package_has_no_assert_statements(path):
     assert _assert_statements(tree) == []
 
 
-# The pair-mask kernel and the checks it rests on decide every sign in
+# The pair-mask kernel, the checks it rests on, the functions that decide a
+# thm-321 verdict and the profile that is its oracle decide every sign in
 # integer arithmetic; a float there could decide one wrongly.
 EXACT_KERNELS = (
     "_walk_form", "_negated_form", "_walk_zeros", "_pair_masks", "_subfamily_counts",
     "_sort_directions", "_interiors_overlap", "_set_lattice", "_convex_hull",
+    "verify_theorem_321", "disjointness_class", "_placement_ok", "_primitive", "_climb",
+    "transversal_profile",
 )
 
 

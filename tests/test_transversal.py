@@ -274,6 +274,18 @@ def test_sort_directions_matches_comparator(dirs):
     assert _sort_directions(dirs) == sorted(set(dirs), key=functools.cmp_to_key(_dir_cmp))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_direction_sets())
+@example([])
+@example(AXES)
+def test_upper_half_sort_then_negations_is_the_whole_sort(dirs):
+    # the layout `_pair_masks` gives a cut closed under negation: its upper
+    # half sorted, then each of those negated, so -d sits U places after d
+    closed = set(dirs) | {(-x, -y) for x, y in dirs}
+    half = _sort_directions([d for d in closed if _upper_half(d)])
+    assert half + [(-x, -y) for x, y in half] == _sort_directions(closed)
+
+
 # --- profile structure -----------------------------------------------------
 
 
@@ -1110,6 +1122,9 @@ def test_theorem_321_on_a_semipairwise_family(extra, whole):
                    for pair in itertools.combinations(range(m), 2)}
     assert {pair for pair, n in root_counts.items() if n != 4} == {(0, 1), (2, 3), (3, 4)}
     assert (root_counts[(0, 1)], root_counts[(2, 3)], root_counts[(3, 4)]) == (2, 0, 0)
+    # the one fixture with 0-, 2- and 4-root pairs: the kernel's index
+    # arithmetic on each root count against the every-element table
+    assert _pair_masks(fam) == _reference_pair_masks(fam)
 
     verdict = verify_theorem_321(fam)
     checks = [dict(c) for c in verdict.checks]
@@ -1196,6 +1211,13 @@ def test_witness_disagreeing_with_the_kernel_raises(monkeypatch, capsys):
         verify_theorem_321(fam).to_dict()
     assert main(["verify", "thm-321", "--in", str(path)]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_subfamily_counts_raise_on_an_odd_number_of_run_starts():
+    # one feasible run with no antipodal partner on an 8-element circle
+    kernel = (0xFF, {(0, 1): 0b11})
+    with pytest.raises(InvariantViolation, match="antipodal pairs"):
+        _subfamily_counts(kernel, [(0, 1)])
 
 
 def test_thm321_sweep_builds_no_profile(monkeypatch):
