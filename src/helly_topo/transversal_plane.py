@@ -70,6 +70,9 @@ _PAIR_RADII = (0.5, 1.5)  # random_disjoint_pair's member radii
 # feasible arcs or gaps narrower than this (radians) get a degeneracy flag:
 # a sampling oracle may misread the component count near such features
 NARROW_FEATURE_WIDTH = 1e-2
+# tan(NARROW_FEATURE_WIDTH) rounded up to ten significant digits: the exact
+# bound `_narrow` compares an arc's turn with
+_NARROW_TAN = Fraction(1000033335, 10 ** 11)
 
 
 def _to_fraction(value) -> Fraction:
@@ -141,6 +144,16 @@ def _sort_directions(dirs):
 def _strictly_inside(p, q, r) -> bool:
     """r strictly inside the arc from p to q, valid for arcs narrower than pi."""
     return _cross(p, r) > 0 and _cross(r, q) > 0
+
+
+def _narrow(p, q) -> bool:
+    """The counterclockwise arc from direction p to direction q is narrower
+    than NARROW_FEATURE_WIDTH.  An arc below pi/2 turns by the angle whose
+    tangent is cross(p, q) / dot(p, q), so the test compares that ratio
+    with `_NARROW_TAN` in integers; q = p is an arc of width 0."""
+    cross, dot = _cross(p, q), _dot(p, q)
+    return (cross >= 0 and dot > 0
+            and cross * _NARROW_TAN.denominator < dot * _NARROW_TAN.numerator)
 
 
 def _angle(d) -> float:
@@ -596,44 +609,43 @@ def components(profile: TransversalProfile) -> ComponentSummary:
             raise InvariantViolation("feasible run touches an isolated boundary point")
         return e // 2
 
+    # each run is a counterclockwise arc from d0 to d1, in circular order
     arcs_full = []
     for first, last in _cyclic_runs(feas):
-        pi_first = _element_panel(first)
-        pi_last = _element_panel(last)
-        d0 = panels[pi_first].start
-        d1 = panels[pi_last].end
+        d0 = panels[_element_panel(first)].start
+        d1 = panels[_element_panel(last)].end
         a0 = _angle(d0)
-        width = (_angle(d1) - a0) % TWO_PI
-        arcs_full.append((d0, a0, width))
+        arcs_full.append((d0, d1, a0, (_angle(d1) - a0) % TWO_PI))
 
     count_full = len(arcs_full)
     if count_full % 2 != 0:
         raise InvariantViolation("feasible arcs must come in antipodal pairs")
 
-    quotient_arcs = [
-        (a0, a0 + width) for (d0, a0, width) in arcs_full if _upper_half(d0)
-    ]
-    if len(quotient_arcs) != count_full // 2:
+    upper = [arc for arc in arcs_full if _upper_half(arc[0])]
+    if len(upper) != count_full // 2:
         raise InvariantViolation("antipodal arc pairs must have one member in [0, pi)")
+    # in the exact circular order of their starts, which all lie in [0, pi)
+    order = {d: k for k, d in enumerate(_sort_directions(arc[0] for arc in upper))}
+    upper.sort(key=lambda arc: order[arc[0]])
+    quotient_arcs = tuple((a0, a0 + width) for _, _, a0, width in upper)
 
-    widths = [w for (_, _, w) in arcs_full]
-    min_arc = min(widths)
-    gaps = []
-    for k in range(count_full):
-        _, a0, width = arcs_full[k]
-        _, next_a0, _ = arcs_full[(k + 1) % count_full]
-        gaps.append((next_a0 - (a0 + width)) % TWO_PI)
-    min_gap = min(gaps) if gaps else None
-
-    if min_arc < NARROW_FEATURE_WIDTH:
+    # the gap after each arc runs from its end to the next arc's start
+    following = arcs_full[1:] + arcs_full[:1]
+    min_arc = min(width for _, _, _, width in arcs_full)
+    min_gap = min(
+        (next_a0 - (a0 + width)) % TWO_PI
+        for (_, _, a0, width), (_, _, next_a0, _) in zip(arcs_full, following)
+    )
+    # the flags are decided exactly; their widths are the reported floats
+    if any(_narrow(d0, d1) for d0, d1, _, _ in arcs_full):
         flags.append((("kind", "narrow_arc"), ("width", min_arc)))
-    if min_gap is not None and min_gap < NARROW_FEATURE_WIDTH:
+    if any(_narrow(arc[1], nxt[0]) for arc, nxt in zip(arcs_full, following)):
         flags.append((("kind", "narrow_gap"), ("width", min_gap)))
 
     return ComponentSummary(
         component_count=count_full // 2,
         full_circle=False,
-        feasible_arcs=tuple(sorted(quotient_arcs)),
+        feasible_arcs=quotient_arcs,
         flags=tuple(flags),
         min_arc_width=min_arc,
         min_gap_width=min_gap,
@@ -679,12 +691,13 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     that lost its zero would read as an overlap; only an evaluation at n
     itself could tell.)
 
-    Each polygon has one walk form; -P_j's is `_negated_form` of P_j's.
+    Each polygon has one walk form; -P_j's is `_negated_form` of P_j's,
+    built for every member but the first, which is never second in a pair.
     """
     _, polys = family._int_data
     m = len(polys)
     forms = [_walk_form(verts) for verts in polys]
-    negated = [_negated_form(form) for form in forms]
+    negated = [None] + [_negated_form(form) for form in forms[1:]]
     own = {}
     cut = set()
     for i, j in itertools.combinations(range(m), 2):
@@ -757,6 +770,13 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     return full, pair_masks
 
 
+@functools.lru_cache(maxsize=512)
+def _pairs_of(subset: tuple) -> tuple:
+    """A subfamily's index pairs, kept across calls: a sweep checks the
+    same subfamilies in every trial, 22 of them at m = 6 and 463 at m = 10."""
+    return tuple(itertools.combinations(subset, 2))
+
+
 def _subfamily_counts(kernel: tuple, subsets) -> list:
     """Exact quotient component counts of the transversal spaces of many
     subfamilies of one family (each an index tuple), from the pair masks
@@ -774,7 +794,7 @@ def _subfamily_counts(kernel: tuple, subsets) -> list:
     counts = []
     for subset in subsets:
         mask = full
-        for pair in itertools.combinations(subset, 2):
+        for pair in _pairs_of(subset):
             mask &= pair_masks[pair]
         if mask == full:
             counts.append(1)
@@ -855,21 +875,40 @@ def polygons_disjoint(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     return not _interiors_overlap(_at(a, scale), _at(b, scale))
 
 
-def disjointness_class(family: PolygonFamily) -> str:
+def _full_pairs(kernel: tuple) -> list:
+    """The pairs whose mask in ``kernel`` = `_pair_masks(family)` is full,
+    in `itertools.combinations` order."""
+    full, pair_masks = kernel
+    return [pair for pair, mask in pair_masks.items() if mask == full]
+
+
+def _triangles(pairs) -> list:
+    """Every triple (i, j, k), i < j < k, whose three pairs are all among
+    ``pairs``, index pairs (i, j) with i < j, in lexicographic order."""
+    pairs = set(pairs)
+    return sorted(
+        (i, j, k) for i, j in pairs for j2, k in pairs if j2 == j and (i, k) in pairs
+    )
+
+
+def disjointness_class(family: PolygonFamily, kernel=None) -> str:
     """'pairwise_disjoint', 'semipairwise_disjoint' (among any three members
-    some two are disjoint), or 'neither'."""
+    some two are disjoint), or 'neither'.
+
+    Two interiors meet iff 0 is interior to P_i - P_j, iff the pair's walk
+    finds no roots, iff its mask in ``kernel`` = `_pair_masks(family)`
+    (built here when not given) is full.  The separating-axis test
+    `_interiors_overlap` decides the overlap of exactly those pairs, so
+    the class still rests on it, and a pairwise-disjoint family makes no
+    separating-axis call."""
     _, polys = family._int_data
-    m = len(polys)
-    overlap = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            overlap[(i, j)] = _interiors_overlap(polys[i], polys[j])
-    if not any(overlap.values()):
+    overlap = [
+        (i, j) for i, j in _full_pairs(_pair_masks(family) if kernel is None else kernel)
+        if _interiors_overlap(polys[i], polys[j])
+    ]
+    if not overlap:
         return "pairwise_disjoint"
-    for i, j, k in itertools.combinations(range(m), 3):
-        if overlap[(i, j)] and overlap[(i, k)] and overlap[(j, k)]:
-            return "neither"
-    return "semipairwise_disjoint"
+    return "neither" if _triangles(overlap) else "semipairwise_disjoint"
 
 
 # ---------------------------------------------------------------------------
@@ -982,24 +1021,23 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
     m = family.size
     if m < 6:
         raise ContractViolation("the theorem needs a family of at least 6 members")
-    cls = disjointness_class(family)
+    kernel = _pair_masks(family)
+    cls = disjointness_class(family, kernel)
     semipairwise = cls in ("pairwise_disjoint", "semipairwise_disjoint")
     combos5 = list(itertools.combinations(range(m), 5))
     combos4 = list(itertools.combinations(range(m), 4))
-    kernel = _pair_masks(family)
     # the whole family last: Helly's theorem on the line makes its feasible
     # set the AND of all pair masks
     counts = _subfamily_counts(kernel, combos5 + combos4 + [tuple(range(m))])
     if semipairwise:
         # lemma-313: a disjoint pair in every triple keeps its space off
-        # the full circle
-        full, pair_masks = kernel
-        for i, j, k in itertools.combinations(range(m), 3):
-            if pair_masks[(i, j)] & pair_masks[(i, k)] & pair_masks[(j, k)] == full:
-                raise InvariantViolation(
-                    f"triple {[i, j, k]} of a semipairwise-disjoint family "
-                    "has the full circle of transversal directions"
-                )
+        # the full circle.  A triple's AND is full iff its three masks are.
+        triples = _triangles(_full_pairs(kernel))
+        if triples:
+            raise InvariantViolation(
+                f"triple {list(triples[0])} of a semipairwise-disjoint family "
+                "has the full circle of transversal directions"
+            )
     n5 = len(combos5)
     hypotheses_hold = (
         semipairwise

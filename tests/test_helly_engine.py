@@ -598,3 +598,66 @@ def test_vertex_relabelling_keeps_betti_vectors_and_ledgers(seed, labels):
         for tag in THEOREMS:
             assert run_verifier(tag, fam, field, d=2, lam=1).to_dict() == \
                 run_verifier(tag, image, field, d=2, lam=1).to_dict()
+
+
+# --- the union side against the intersection side ---------------------------
+
+
+def _mayer_vietoris_breaches(fam, field) -> tuple:
+    """Every breach, over the subfamilies T of two or more members, of two
+    consequences of the Mayer-Vietoris spectral sequence of the cover of
+    the union of T by its members, E^1_{p,q} = sum over |S| = p + 1 of
+    H_q(meet S), which converges to H_{p+q}(union T):
+    - the bound b_n(union T) <= sum over p + q = n, |S| = p + 1, S in T, of
+      b_q(meet S), in unreduced homology, for n <= 2;
+    - the nerve theorem: when every nonempty meet S is acyclic, the union
+      has the reduced Betti numbers of the nerve, the complex on T whose
+      simplices are the S with a nonempty meet.
+    Intersections come from `_meet` and unions from `_join`'s parts merge,
+    so each side checks the other.  Every value of the family is read
+    through `betti_number`, as the ledgers read it; the nerve's comes from
+    `reduced_betti`.  Returns the breaches and the number of good covers."""
+    def betti(cx):
+        # reduced b_0, b_1, b_2 and the unreduced ones
+        reduced = [betti_number(cx, q, field) for q in range(3)]
+        return reduced, [reduced[0] + (not cx.is_empty)] + reduced[1:]
+
+    m = fam.size
+    meets = {S: betti(intersect_members(fam, S))
+             for k in range(1, m + 1) for S in itertools.combinations(range(m), k)}
+    breaches, good_covers = [], 0
+    for size in range(2, m + 1):
+        for T in itertools.combinations(range(m), size):
+            reduced, unreduced = betti(union_members(fam, T))
+            covers = [S for k in range(1, size + 1) for S in itertools.combinations(T, k)]
+            for n in range(3):
+                bound = sum(meets[S][1][n + 1 - len(S)] for S in covers if len(S) <= n + 1)
+                if unreduced[n] > bound:
+                    breaches.append((T, f"b{n} {unreduced[n]} > {bound}"))
+            nerve = [S for S in covers if not intersect_members(fam, S).is_empty]
+            if not any(any(meets[S][0]) for S in nerve):
+                good_covers += 1
+                expected = reduced_betti(build_complex(nerve), field)
+                # a planar union has no homology above degree 2
+                observed = reduced + [0] * (size - 3)
+                if observed != [expected.betti_at(q) for q in range(max(3, size))]:
+                    breaches.append((T, f"union {observed} != nerve {expected.betti}"))
+    return breaches, good_covers
+
+
+# (grid_n, m, growth_steps, draws): the helly-intersect, breen-g40 and
+# breen-union parameters; growth 12 gives many good covers, growth 120
+# unions with many holes
+MAYER_VIETORIS_DRAWS = [(12, 5, 12, 100), (12, 4, 40, 50), (12, 4, 120, 40)]
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=["gf2", "q"])
+def test_unions_obey_mayer_vietoris_over_their_intersections(field):
+    good_covers = 0
+    for grid_n, m, growth, draws in MAYER_VIETORIS_DRAWS:
+        for seed in range(draws):
+            breaches, good = _mayer_vietoris_breaches(random_family(grid_n, m, growth, seed), field)
+            assert breaches == [], (m, growth, seed)
+            good_covers += good
+    # the nerve relation is not vacuous
+    assert good_covers > 0

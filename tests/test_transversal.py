@@ -19,11 +19,15 @@ from helly_topo.errors import (
     ValidationError,
 )
 from helly_topo.transversal_plane import (
+    NARROW_FEATURE_WIDTH,
+    TWO_PI,
+    _angle,
     _convex_hull,
     _cross,
     _cyclic_runs,
     _at,
     _interiors_overlap,
+    _narrow,
     _neg,
     _negated_form,
     _pair_masks,
@@ -450,6 +454,54 @@ def test_exact_matches_oracle_on_random_families():
         if exact.min_arc_width is None or exact.min_arc_width >= guard:
             assert exact.component_count == oracle.component_count, seed
             assert exact.full_circle == oracle.full_circle, seed
+
+
+def _float_narrow(width):
+    """Whether a float width is below NARROW_FEATURE_WIDTH, or None within
+    1e-9 of the threshold or of a full turn, where float angles cannot
+    decide."""
+    if abs(width - NARROW_FEATURE_WIDTH) < 1e-9 or width > TWO_PI - 1e-9:
+        return None
+    return width < NARROW_FEATURE_WIDTH
+
+
+def test_narrow_decisions_match_float_widths_away_from_the_threshold():
+    rng = random.Random("narrow-arcs")
+    decided = set()
+    for _ in range(20000):
+        start = TWO_PI * rng.random()
+        turn = rng.choice([2 * NARROW_FEATURE_WIDTH, TWO_PI]) * rng.random()
+        radius = rng.choice([10, 10 ** 3, 10 ** 6])
+        p = (round(radius * math.cos(start)), round(radius * math.sin(start)))
+        q = (round(radius * math.cos(start + turn)), round(radius * math.sin(start + turn)))
+        if p == (0, 0) or q == (0, 0):
+            continue
+        p, q = _primitive(*p), _primitive(*q)
+        expected = _float_narrow((_angle(q) - _angle(p)) % TWO_PI)
+        if expected is not None:
+            assert _narrow(p, q) == expected, (p, q)
+            decided.add(expected)
+    assert decided == {True, False}
+    assert _narrow((3, 4), (3, 4))  # a gap of width 0 sits at a puncture
+
+
+def test_narrow_flags_match_float_widths_away_from_the_threshold():
+    kinds = set()
+    families = [PUNCTURED_TRIPLE]
+    for seed in (4, 6, 9, 14):
+        for jitter in (0.05, 0.6, 1.2):
+            fam = random_stabbed_family(6, seed, jitter=jitter)
+            families += [subfamily(fam, sub) for k in (2, 3)
+                         for sub in itertools.combinations(range(6), k)]
+    for fam in families:
+        summary = components(transversal_profile(fam))
+        flagged = {dict(f)["kind"] for f in summary.flags}
+        for kind, width in (("narrow_arc", summary.min_arc_width),
+                            ("narrow_gap", summary.min_gap_width)):
+            if width is not None and _float_narrow(width) is not None:
+                assert (kind in flagged) == _float_narrow(width), (kind, width)
+        kinds |= flagged
+    assert {"narrow_arc", "narrow_gap"} <= kinds
 
 
 # --- disjointness ----------------------------------------------------------
@@ -1194,6 +1246,82 @@ def test_triple_audit_fires_on_a_full_disjoint_pair(monkeypatch):
     monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
     with pytest.raises(InvariantViolation, match="triple"):
         verify_theorem_321(fam)
+
+
+def _assert_full_masks_are_overlaps(fam) -> int:
+    """A pair's mask is full iff its interiors meet, by the separating-axis
+    test; returns the number of full pairs."""
+    _, polys = fam._int_data
+    full, masks = _pair_masks(fam)
+    for (i, j), mask in masks.items():
+        assert (mask == full) == _interiors_overlap(polys[i], polys[j]), (i, j)
+    return sum(mask == full for mask in masks.values())
+
+
+def test_full_mask_iff_interiors_overlap_on_lattice_pairs():
+    full_pairs = 0
+    for a, b in itertools.combinations_with_replacement(_lattice_hulls(), 2):
+        fam = PolygonFamily((ConvexPolygon._lattice(a, 1), ConvexPolygon._lattice(b, 1)))
+        full_pairs += _assert_full_masks_are_overlaps(fam)
+    # corner and edge contacts, containment and repeats: both answers occur
+    assert 0 < full_pairs < len(_lattice_hulls()) * (len(_lattice_hulls()) + 1) // 2
+
+
+def test_full_mask_iff_interiors_overlap_on_stabbed_and_semipairwise_families():
+    for seed in range(10):
+        for jitter in (0.05, 0.4, 1.2):
+            assert _assert_full_masks_are_overlaps(random_stabbed_family(6, seed, jitter)) == 0
+    # the 0-root pairs (P3, P4) and (P4, P5) overlap
+    assert _assert_full_masks_are_overlaps(PolygonFamily(SEMIPAIRWISE_FAMILY)) == 2
+
+
+def _reference_disjointness_class(fam) -> str:
+    """The class from the separating-axis oracle on every pair."""
+    _, polys = fam._int_data
+    overlap = {
+        (i, j) for i, j in itertools.combinations(range(fam.size), 2)
+        if _interiors_overlap_reference(polys[i], polys[j])
+    }
+    if not overlap:
+        return "pairwise_disjoint"
+    if any({(i, j), (i, k), (j, k)} <= overlap
+           for i, j, k in itertools.combinations(range(fam.size), 3)):
+        return "neither"
+    return "semipairwise_disjoint"
+
+
+def test_disjointness_class_matches_the_every_pair_reference():
+    classes = set()
+    for disjointness in (None, "pairwise_disjoint", "semipairwise_disjoint"):
+        for seed in range(8):
+            fam = random_polygon_family(6, box=(-3, 3, -3, 3), disjointness=disjointness,
+                                        seed=seed)
+            expected = _reference_disjointness_class(fam)
+            assert disjointness_class(fam) == expected
+            assert disjointness_class(fam, _pair_masks(fam)) == expected
+            assert verify_theorem_321(fam).disjointness == expected
+            classes.add(expected)
+    assert classes == {"pairwise_disjoint", "semipairwise_disjoint", "neither"}
+
+
+def test_verify_runs_the_separating_axis_test_only_on_full_pairs(monkeypatch):
+    calls = []
+    overlap = transversal_plane._interiors_overlap
+
+    def counted(verts_a, verts_b):
+        calls.append((verts_a, verts_b))
+        return overlap(verts_a, verts_b)
+
+    # the draw runs the test itself, to place its members
+    disjoint = random_stabbed_family(6, 3, jitter=0.4)
+    monkeypatch.setattr(transversal_plane, "_interiors_overlap", counted)
+    assert verify_theorem_321(disjoint).disjointness == "pairwise_disjoint"
+    assert calls == []
+
+    fam = PolygonFamily(SEMIPAIRWISE_FAMILY)
+    assert verify_theorem_321(fam).disjointness == "semipairwise_disjoint"
+    _, polys = fam._int_data
+    assert calls == [(polys[2], polys[3]), (polys[3], polys[4])]
 
 
 def test_witness_disagreeing_with_the_kernel_raises(monkeypatch, capsys):
