@@ -36,11 +36,11 @@ from .homology import (
 from .helly_engine import (
     Verdict,
     HypothesisLedger,
-    SweepReport,
     random_family,
     run_verifier,
     sweep,
 )
+from .sweeps import SweepReport
 from .transversal_plane import (
     ConvexPolygon,
     PolygonFamily,

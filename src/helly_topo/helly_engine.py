@@ -1,12 +1,13 @@
 """Hypothesis/conclusion verifiers for homological Helly-type criteria.
 
 Every criterion is one row of THEOREMS, keyed by its tag, and
-`run_verifier(tag, family, field, d=, lam=)` is the one entry point: it
-checks every required vanishing condition on the relevant subfamilies (the
-hypothesis ledger), then the asserted conclusion by direct simplex-set
-computation.  A verdict where the hypotheses hold but the conclusion fails
-would contradict a theorem and is surfaced loudly by callers; the sweep
-harness tallies exactly that.
+`run_verifier(tag, family, field, d=, lam=)` is the one entry point.
+`_ledger` lists every required vanishing condition on the relevant
+subfamilies (the hypothesis ledger) without seeing the family: it reads
+each Betti number from a callback, which `run_verifier` defines and also
+reads a union or intersection conclusion through.  A verdict where the
+hypotheses hold but the conclusion fails would contradict a theorem and is
+surfaced loudly by callers; the sweep harness tallies exactly that.
 
 Degree conventions: a required vanishing at degree -1 means nonemptiness;
 degrees below -1 or above the ambient dimension are recorded as vacuous.
@@ -29,6 +30,7 @@ from .complex_core import (
 )
 from .errors import ContractViolation
 from .homology import GF2, CoefficientField, _top_boundary_injective, betti_number, reduced_betti
+from .sweeps import SweepReport, tally_sweep, theorem_row
 
 
 @dataclass(frozen=True, init=False)
@@ -65,10 +67,6 @@ class LedgerEntry:
 class HypothesisLedger:
     entries: tuple
     params: dict  # the theorem's parameter echo, see theorem_params
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(e.status != "fail" for e in self.entries)
 
     def failed_entries(self):
         return [e for e in self.entries if e.status == "fail"]
@@ -158,25 +156,37 @@ THEOREMS = {
 }
 
 
-def _theorem(tag: str) -> Theorem:
-    if tag not in THEOREMS:
-        raise ContractViolation(f"unknown theorem tag {tag!r}")
-    return THEOREMS[tag]
-
-
 def theorem_params(tag: str, d: int, lam: int) -> dict:
     """The parameter echo of a theorem: {"lambda": lam}, {"d": d} or {}."""
-    param = _theorem(tag).param
+    param = theorem_row(THEOREMS, tag).param
     if param is None:
         return {}
     return {param: lam if param == "lambda" else d}
 
 
+def _ledger(row: Theorem, m: int, p: int, dim: int, betti) -> tuple:
+    """The hypothesis entries of ``row`` for a family of m members, one per
+    (subfamily, degree) pair in block order.  ``betti(kind, indices,
+    degree)`` is the Betti number of the members' intersection or union."""
+    entries = []
+    for kind, sizes, degree_of in row.hypotheses:
+        for j in sizes(m, p):
+            degree = degree_of(m, j, p)
+            vacuous = degree < -1 or degree > dim
+            for combo in itertools.combinations(range(m), j):
+                if vacuous:
+                    entries.append(LedgerEntry(combo, kind, degree, None, "vacuous"))
+                else:
+                    observed = betti(kind, combo, degree)
+                    status = "pass" if observed == 0 else "fail"
+                    entries.append(LedgerEntry(combo, kind, degree, observed, status))
+    return tuple(entries)
+
+
 def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField = GF2,
                  d: int = 2, lam: int = 0) -> Verdict:
-    """Evaluate a THEOREMS row: the hypothesis ledger, one entry per
-    (subfamily, degree) pair in block order, then the conclusion."""
-    row = _theorem(theorem)
+    """Evaluate a THEOREMS row: the hypothesis ledger, then the conclusion."""
+    row = theorem_row(THEOREMS, theorem)
     dim = family.ambient.dimension
     if row.param == "d":
         declared = family.ambient.declared_embedding_dim
@@ -199,38 +209,29 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
         raise ContractViolation(f"family size must be >= {row.min_size(p)}")
     if row.param == "lambda" and lam < 0:
         raise ContractViolation("lambda must be >= 0")
-    entries = []
-    for kind, sizes, degree_of in row.hypotheses:
+
+    def betti(kind, indices, degree):
         combine = intersect_members if kind == "intersection" else union_members
-        for j in sizes(m, p):
-            degree = degree_of(m, j, p)
-            vacuous = degree < -1 or degree > dim
-            for combo in itertools.combinations(range(m), j):
-                if vacuous:
-                    entries.append(LedgerEntry(combo, kind, degree, None, "vacuous"))
-                else:
-                    observed = betti_number(combine(family, combo), degree, field)
-                    status = "pass" if observed == 0 else "fail"
-                    entries.append(LedgerEntry(combo, kind, degree, observed, status))
-    ledger = HypothesisLedger(tuple(entries), theorem_params(theorem, d, lam))
+        return betti_number(combine(family, indices), degree, field)
+
+    ledger = HypothesisLedger(_ledger(row, m, p, dim, betti), theorem_params(theorem, d, lam))
     if row.conclusion in ("union", "intersection"):
         degree = row.conclusion_degree(m, p)
-        combine = intersect_members if row.conclusion == "intersection" else union_members
-        observed = betti_number(combine(family, range(m)), degree, field)
+        observed = betti(row.conclusion, range(m), degree)
         holds = observed == 0
         witness = {"kind": row.conclusion, "degree": degree, "observed": observed}
     else:
         inter = intersect_members(family, range(m))
         if row.conclusion == "acyclic":
             # nonempty with b_k = 0 for 0 <= k <= dim, read off one Betti vector
-            betti = reduced_betti(inter, field)
-            holds = betti.nonempty and all(betti.betti_at(k) == 0 for k in range(dim + 1))
-            witness = {"kind": "intersection", "betti": betti.to_dict()}
+            vector = reduced_betti(inter, field)
+            holds = vector.nonempty and all(vector.betti_at(k) == 0 for k in range(dim + 1))
+            witness = {"kind": "intersection", "betti": vector.to_dict()}
         else:
             holds = not inter.is_empty
             witness = {"kind": "intersection", "nonempty": holds,
                        "size": inter.mask.bit_count()}
-    return Verdict(theorem, field, ledger, ledger.all_satisfied, holds, witness)
+    return Verdict(theorem, field, ledger, not ledger.failed_entries(), holds, witness)
 
 
 @lru_cache(maxsize=8)
@@ -312,93 +313,6 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
         members.append(Subcomplex._from_mask(ambient, mask, (mask & vertices,)))
     labels = tuple(f"A{i + 1}" for i in range(m))
     return SubcomplexFamily(ambient, tuple(members), labels)
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Tallies of one sweep.  The transversal theorems have no coefficient
-    field, generator or hypothesis ledger: ``field`` and ``generator`` are
-    None and the report leaves them and the failure histogram out."""
-
-    theorem: str
-    field: object  # CoefficientField, or None
-    trials: int
-    seed: int
-    generator: object  # dict, or None
-    params: dict
-    hypotheses_satisfied: int
-    conclusion_held: int
-    conclusion_violated: int
-    hypotheses_failed_conclusion_failed: int
-    failure_histogram: tuple  # ((j, degree, count), ...) sorted
-
-    def to_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "trials": self.trials,
-            "seed": self.seed,
-            "params": self.params,
-            "counts": {
-                "total": self.trials,
-                "hypotheses_satisfied": self.hypotheses_satisfied,
-                "conclusion_held": self.conclusion_held,
-                "conclusion_violated": self.conclusion_violated,
-                "hypotheses_failed_conclusion_failed": self.hypotheses_failed_conclusion_failed,
-            },
-        }
-        if self.field is not None:
-            out["field"] = self.field.value
-            out["generator"] = self.generator
-            out["hypothesis_failure_histogram"] = [
-                {"j": j, "degree": degree, "count": count}
-                for (j, degree, count) in self.failure_histogram
-            ]
-        return out
-
-
-def tally_sweep(theorem: str, trials: int, seed: int, params: dict, trial,
-                field: CoefficientField = None, generator: dict = None) -> SweepReport:
-    """The loop of `sweep` and `sweep_transversal`: `trial(trial_seed)` checks
-    one random instance and returns (hypotheses_hold, conclusion_holds,
-    failed ledger entries).
-
-    `conclusion_violated` counts trials where the hypotheses held but the
-    conclusion failed; any nonzero value contradicts a theorem and means an
-    implementation bug.  `hypotheses_failed_conclusion_failed` witnesses the
-    checks are not vacuous.
-    """
-    if trials < 1:
-        raise ContractViolation("trials must be >= 1")
-    satisfied = held = violated = failed_failed = 0
-    histogram = {}
-    for t in range(trials):
-        # flat integer derivation keeps trials schedule-independent
-        hyp, concl, failed = trial(seed * 1_000_003 + t)
-        if hyp:
-            satisfied += 1
-            if concl:
-                held += 1
-            else:
-                violated += 1
-        else:
-            if not concl:
-                failed_failed += 1
-            for entry in failed:
-                key = (entry.j, entry.degree)
-                histogram[key] = histogram.get(key, 0) + 1
-    return SweepReport(
-        theorem=theorem,
-        field=field,
-        trials=trials,
-        seed=seed,
-        generator=generator,
-        params=params,
-        hypotheses_satisfied=satisfied,
-        conclusion_held=held,
-        conclusion_violated=violated,
-        hypotheses_failed_conclusion_failed=failed_failed,
-        failure_histogram=tuple(sorted((j, deg, c) for (j, deg), c in histogram.items())),
-    )
 
 
 def sweep(theorem: str, trials: int, *, grid_n: int = 12, m: int = 4,

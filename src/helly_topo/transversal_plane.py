@@ -57,7 +57,7 @@ from .errors import (
     InvariantViolation,
     ValidationError,
 )
-from .helly_engine import SweepReport, tally_sweep
+from .sweeps import SweepReport, tally_sweep, theorem_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -898,14 +898,18 @@ def disjointness_class(family: PolygonFamily, kernel=None) -> str:
     Two interiors meet iff 0 is interior to P_i - P_j, iff the pair's walk
     finds no roots, iff its mask in ``kernel`` = `_pair_masks(family)`
     (built here when not given) is full.  The separating-axis test
-    `_interiors_overlap` decides the overlap of exactly those pairs, so
-    the class still rests on it, and a pairwise-disjoint family makes no
-    separating-axis call."""
+    `_interiors_overlap` checks exactly those pairs: a full pair that it
+    calls disjoint raises `InvariantViolation`, so no semipairwise-disjoint
+    triple has the full circle, as lemma-313 requires.  A pairwise-disjoint
+    family makes no separating-axis call."""
     _, polys = family._int_data
-    overlap = [
-        (i, j) for i, j in _full_pairs(_pair_masks(family) if kernel is None else kernel)
-        if _interiors_overlap(polys[i], polys[j])
-    ]
+    overlap = _full_pairs(_pair_masks(family) if kernel is None else kernel)
+    for i, j in overlap:
+        if not _interiors_overlap(polys[i], polys[j]):
+            raise InvariantViolation(
+                f"pair {[i, j]} has the full circle of transversal directions "
+                "but disjoint interiors"
+            )
     if not overlap:
         return "pairwise_disjoint"
     return "neither" if _triangles(overlap) else "semipairwise_disjoint"
@@ -1029,15 +1033,6 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
     # the whole family last: Helly's theorem on the line makes its feasible
     # set the AND of all pair masks
     counts = _subfamily_counts(kernel, combos5 + combos4 + [tuple(range(m))])
-    if semipairwise:
-        # lemma-313: a disjoint pair in every triple keeps its space off
-        # the full circle.  A triple's AND is full iff its three masks are.
-        triples = _triangles(_full_pairs(kernel))
-        if triples:
-            raise InvariantViolation(
-                f"triple {list(triples[0])} of a semipairwise-disjoint family "
-                "has the full circle of transversal directions"
-            )
     n5 = len(combos5)
     hypotheses_hold = (
         semipairwise
@@ -1260,17 +1255,11 @@ TRANSVERSALS = {
 }
 
 
-def _transversal(tag: str) -> tuple:
-    if tag not in TRANSVERSALS:
-        raise ContractViolation(f"unknown theorem tag {tag!r}")
-    return TRANSVERSALS[tag]
-
-
 def verify_transversal(tag: str, family: PolygonFamily):
     """The transversal entry point, the counterpart of `run_verifier`: a
     TRANSVERSALS row's `LemmaVerdict` or `TransversalVerdict` of a family,
     both with `hypotheses_hold`, `conclusion_holds` and `to_dict()`."""
-    arity, verify, _ = _transversal(tag)
+    arity, verify, _ = theorem_row(TRANSVERSALS, tag)
     if arity is not None and family.size != arity[0]:
         raise ValidationError(arity[1])
     return verify(family)
@@ -1282,7 +1271,7 @@ def sweep_transversal(theorem: str, trials: int, seed: int = 0, m=None) -> Sweep
 
     ``m`` is the family size of a thm-321 trial (6 when None); a lemma row
     draws its own fixed number of members and takes no ``m``."""
-    arity, verify, draw = _transversal(theorem)
+    arity, verify, draw = theorem_row(TRANSVERSALS, theorem)
     if arity is None:
         m = 6 if m is None else m
     elif m is not None:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +92,24 @@ def test_verify_helly_below_d_plus_1_members_exits_three(disjoint_family_file, c
     code = main(["sweep", "--theorem", "helly", "--m", "2", "--trials", "3", "--growth", "12"])
     assert code == 3
     assert capsys.readouterr().err == "input error: family size must be >= 3\n"
+
+
+def test_tight_helly_instance_fails_only_its_d_plus_1_block(monkeypatch, capsys):
+    # three 6-cell arcs of the 12-cell ring around the central 2x2 hole of
+    # grid_complex(6): every proper subfamily meets in a disk, the triple
+    # is empty.  Only the size-(d+1) block tells this from a violation.
+    argv = ["verify", "helly", "--in", str(Path(__file__).parent / "helly_ring_arcs.json"),
+            "--d", "2"]
+    code, out = run(argv, capsys)
+    result = json.loads(out)["result"]
+    assert code == 2 and not result["conclusion_holds"]
+    failed = [e for e in result["ledger"]["entries"] if e["status"] != "pass"]
+    assert [(e["indices"], e["degree"], e["status"]) for e in failed] == [([0, 1, 2], -1, "fail")]
+    row = THEOREMS["helly"]
+    ((kind, _, degree),) = row.hypotheses
+    stop_at_d = ((kind, lambda m, p: range(1, min(p, m) + 1), degree),)
+    monkeypatch.setitem(THEOREMS, "helly", dataclasses.replace(row, hypotheses=stop_at_d))
+    assert run(argv, capsys)[0] == 1
 
 
 def _surface_file(tmp_path, triangles, declared):

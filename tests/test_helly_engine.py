@@ -27,6 +27,7 @@ from helly_topo.helly_engine import (
     THEOREMS,
     LedgerEntry,
     _grid_setup,
+    _ledger,
     random_family,
     run_verifier,
     sweep,
@@ -380,6 +381,27 @@ def test_ledger_entries_match_the_public_calls_on_a_parsed_family(theorem, field
     assert all(sub.parts is None for sub in fam.members)
     assert [betti_number(sub, 0) + 1 for sub in fam.members] == [2, 2, 3, 2]
     assert _checked_entries(fam, theorem, field, {"d": 2, "lam": 0})
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=["gf2", "q"])
+def test_ledger_over_a_reduced_betti_callback_matches_the_verifier(field):
+    # the ledger's own Betti source swapped for the full Betti vector of
+    # the public intersection or union: the entries must not change
+    cases = [(random_family(8, m, growth, seed), theorem, params)
+             for theorem, m, growth, params in _LEDGER_ROWS for seed in range(20)]
+    cases += [(_path_family(), theorem, {}) for theorem in sorted(THEOREMS)]
+    statuses = set()
+    for fam, theorem, params in cases:
+        def betti(kind, indices, degree):
+            combine = intersect_members if kind == "intersection" else union_members
+            return reduced_betti(combine(fam, indices), field).betti_at(degree)
+
+        row = THEOREMS[theorem]
+        p = params.get("lam", 0) if row.param == "lambda" else params.get("d", 2)
+        entries = _ledger(row, fam.size, p, fam.ambient.dimension, betti)
+        assert entries == run_verifier(theorem, fam, field, **params).ledger.entries
+        statuses.update(e.status for e in entries)
+    assert statuses == {"pass", "fail", "vacuous"}
 
 
 @pytest.mark.parametrize("theorem, m, growth, params", _LEDGER_ROWS,

@@ -1,9 +1,9 @@
 """Static checks on the package and test sources, with the standard library
 only: every imported name is used, the package imports nothing outside the
 standard library (its ``dependencies`` list is empty), every name the
-package exports has a reader inside the package, and the package holds no
+package exports has a reader inside the package, the package holds no
 ``assert`` statement (``python -O`` strips them, so an invariant check
-must raise a real error)."""
+must raise a real error), and its modules import each other in layers."""
 
 import ast
 import sys
@@ -140,6 +140,36 @@ def test_assert_check_finds_assert_statements():
 def test_package_has_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _assert_statements(tree) == []
+
+
+def _package_imports(tree) -> set:
+    """The package modules a module imports by relative import, m for both
+    ``from .m import x`` and ``from . import m``; the package's absolute
+    imports are all standard library, as checked above."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_package_import_check_finds_relative_imports():
+    tree = ast.parse(
+        "import os\nfrom json import dumps\nfrom .errors import ContractViolation\n"
+        "from . import helly_engine as engine, homology\nfrom .homology import GF2\n"
+    )
+    assert _package_imports(tree) == {"errors", "helly_engine", "homology"}
+
+
+def test_modules_import_each_other_in_layers():
+    # the transversal half stands without the simplicial one, and both take
+    # the sweep tally from `sweeps`, so one half's verifiers can run over
+    # the other's kernels without an import cycle
+    imports = {path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+               for path in PACKAGE}
+    assert not imports["transversal_plane"] & {"helly_engine", "complex_core", "homology"}
+    assert "transversal_plane" not in imports["helly_engine"]
+    assert imports["sweeps"] == {"errors"}
 
 
 # The pair-mask kernel, the checks it rests on, the functions that decide a

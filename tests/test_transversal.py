@@ -1244,7 +1244,22 @@ def test_triple_audit_fires_on_a_full_disjoint_pair(monkeypatch):
         return full, {**masks, (1, 2): full}
 
     monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
-    with pytest.raises(InvariantViolation, match="triple"):
+    with pytest.raises(InvariantViolation, match=r"pair \[1, 2\] has the full circle"):
+        verify_theorem_321(fam)
+
+
+def test_pair_check_fires_on_a_lone_full_disjoint_pair(monkeypatch):
+    # one full pair makes no full triangle: without the pair check this
+    # family reads as pairwise disjoint with its hypotheses holding
+    fam = random_stabbed_family(6, 3, 0.3)
+    kernel = transversal_plane._pair_masks
+
+    def mutant(family):
+        full, masks = kernel(family)
+        return full, {**masks, (0, 1): full}
+
+    monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
+    with pytest.raises(InvariantViolation, match=r"pair \[0, 1\] has the full circle"):
         verify_theorem_321(fam)
 
 
