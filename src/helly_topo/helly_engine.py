@@ -318,13 +318,27 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
 def sweep(theorem: str, trials: int, *, grid_n: int = 12, m: int = 4,
           growth_steps: int = 40, seed: int = 0, field: CoefficientField = GF2,
           d: int = 2, lam: int = 0) -> SweepReport:
-    """Tally hypothesis satisfaction and conclusion outcomes over random families."""
-    params = theorem_params(theorem, d, lam)
+    """Tally hypothesis satisfaction and conclusion outcomes over random
+    families.  The report echoes the field and the generator's parameters
+    and counts the failed ledger entries of every trial by (j, degree)."""
+    histogram = {}
 
     def trial(trial_seed):
         family = random_family(grid_n, m, growth_steps, trial_seed)
         verdict = run_verifier(theorem, family, field, d=d, lam=lam)
-        return verdict.hypotheses_hold, verdict.conclusion_holds, verdict.ledger.failed_entries()
+        for entry in verdict.ledger.failed_entries():
+            key = (entry.j, entry.degree)
+            histogram[key] = histogram.get(key, 0) + 1
+        return verdict
 
-    generator = {"grid_n": grid_n, "m": m, "growth_steps": growth_steps}
-    return tally_sweep(theorem, trials, seed, params, trial, field, generator)
+    def echo():
+        return {
+            "field": field.value,
+            "generator": {"grid_n": grid_n, "m": m, "growth_steps": growth_steps},
+            "hypothesis_failure_histogram": [
+                {"j": j, "degree": degree, "count": count}
+                for (j, degree), count in sorted(histogram.items())
+            ],
+        }
+
+    return tally_sweep(theorem, trials, seed, theorem_params(theorem, d, lam), trial, echo)

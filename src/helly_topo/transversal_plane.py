@@ -1278,8 +1278,6 @@ def sweep_transversal(theorem: str, trials: int, seed: int = 0, m=None) -> Sweep
         raise ContractViolation(f"{theorem} has a fixed family size; m does not apply")
 
     def trial(ts):
-        rng = random.Random(f"transversal-sweep:{theorem}:{ts}")
-        verdict = verify(draw(rng, ts, m))
-        return verdict.hypotheses_hold, verdict.conclusion_holds, ()
+        return verify(draw(random.Random(f"transversal-sweep:{theorem}:{ts}"), ts, m))
 
     return tally_sweep(theorem, trials, seed, {} if arity else {"m": m}, trial)

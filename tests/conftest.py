@@ -164,6 +164,19 @@ def make_family(ambient, members):
     return SubcomplexFamily(ambient, tuple(members), labels)
 
 
+def sweep_counts(verdicts) -> dict:
+    """A sweep report's counts, recounted from its trials' verdicts."""
+    held = [v.conclusion_holds for v in verdicts if v.hypotheses_hold]
+    return {
+        "total": len(verdicts),
+        "hypotheses_satisfied": len(held),
+        "conclusion_held": sum(held),
+        "conclusion_violated": held.count(False),
+        "hypotheses_failed_conclusion_failed": sum(
+            not v.hypotheses_hold and not v.conclusion_holds for v in verdicts),
+    }
+
+
 def vertices(poly):
     """A polygon's vertices as a tuple of Fraction pairs."""
     return tuple((Fraction(x, poly.scale), Fraction(y, poly.scale)) for x, y in poly.points)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from helly_topo import transversal_plane
 from helly_topo.cli import THEOREM_TAGS, build_parser, main
+from helly_topo.errors import GenerationFailure
 from helly_topo.helly_engine import THEOREMS
 from helly_topo.transversal_plane import TRANSVERSALS
 
@@ -94,6 +96,14 @@ def test_verify_helly_below_d_plus_1_members_exits_three(disjoint_family_file, c
     assert capsys.readouterr().err == "input error: family size must be >= 3\n"
 
 
+def _stopped_at_d(row):
+    """``row`` with the sizes of its one hypothesis block stopping at d,
+    the `_sizes_to_d_plus_1` mutant."""
+    ((kind, _, degree),) = row.hypotheses
+    stop_at_d = ((kind, lambda m, p: range(1, min(p, m) + 1), degree),)
+    return dataclasses.replace(row, hypotheses=stop_at_d)
+
+
 def test_tight_helly_instance_fails_only_its_d_plus_1_block(monkeypatch, capsys):
     # three 6-cell arcs of the 12-cell ring around the central 2x2 hole of
     # grid_complex(6): every proper subfamily meets in a disk, the triple
@@ -105,11 +115,35 @@ def test_tight_helly_instance_fails_only_its_d_plus_1_block(monkeypatch, capsys)
     assert code == 2 and not result["conclusion_holds"]
     failed = [e for e in result["ledger"]["entries"] if e["status"] != "pass"]
     assert [(e["indices"], e["degree"], e["status"]) for e in failed] == [([0, 1, 2], -1, "fail")]
-    row = THEOREMS["helly"]
-    ((kind, _, degree),) = row.hypotheses
-    stop_at_d = ((kind, lambda m, p: range(1, min(p, m) + 1), degree),)
-    monkeypatch.setitem(THEOREMS, "helly", dataclasses.replace(row, hypotheses=stop_at_d))
+    monkeypatch.setitem(THEOREMS, "helly", _stopped_at_d(THEOREMS["helly"]))
     assert run(argv, capsys)[0] == 1
+
+
+def test_sweep_tallies_a_planted_violation(monkeypatch, capsys):
+    # breen with its union blocks stopped at size d: three members whose
+    # union wraps a hole and that share no point then pass every
+    # hypothesis, and the sweep must tally them as a violation
+    monkeypatch.setitem(THEOREMS, "breen", _stopped_at_d(THEOREMS["breen"]))
+    code = main(["sweep", "--theorem", "breen", "--grid", "8", "--m", "3", "--growth", "20",
+                 "--trials", "200", "--seed", "5"])
+    captured = capsys.readouterr()
+    counts = json.loads(captured.out)["result"]["counts"]
+    assert code == 1
+    assert counts["conclusion_violated"] >= 1
+    assert counts["hypotheses_satisfied"] == counts["conclusion_held"] + counts["conclusion_violated"]
+    assert captured.err == (f"breen sweep: {counts['hypotheses_satisfied']}/200 satisfied, "
+                            f"{counts['conclusion_violated']} violations\n")
+
+
+def test_sweep_generation_failure_exits_one(monkeypatch, capsys):
+    def fail(m, seed, jitter):
+        raise GenerationFailure("could not place member 1 of a stabbed family")
+
+    monkeypatch.setattr(transversal_plane, "random_stabbed_family", fail)
+    code = main(["sweep", "--theorem", "thm-321", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("generation failure:")
 
 
 def _surface_file(tmp_path, triangles, declared):

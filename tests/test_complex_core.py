@@ -22,6 +22,8 @@ from helly_topo.complex_core import (
 )
 from helly_topo.errors import ContractViolation, MalformedInput, ValidationError
 from helly_topo.helly_engine import random_family
+from helly_topo.homology import GF2, BettiVector
+from helly_topo.transversal_plane import PolygonFamily, random_stabbed_family
 
 from conftest import known_spaces, make_family
 
@@ -177,6 +179,32 @@ def test_empty_family_rejected():
     ambient = build_complex([[0]])
     with pytest.raises(ContractViolation):
         SubcomplexFamily(ambient, (), ())
+
+
+def _point(v):
+    """The one-vertex complex {v} as the whole of itself."""
+    return Subcomplex(build_complex([[v]]), frozenset({(v,)}))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SimplicialComplex(frozenset({(0,)}), 0), ContractViolation,
+     "declared_embedding_dim must be >= 1"),
+    (lambda: build_complex([[0, 1, 2]], 1), ContractViolation,
+     "complex dimension 2 exceeds declared embedding dimension 1"),
+    (lambda: SubcomplexFamily(build_complex([[0]]), (_point(0),), ("A1", "A2")),
+     ValidationError, "labels and members must have the same length"),
+    (lambda: SubcomplexFamily(build_complex([[0]]), (_point(1),), ("A1",)),
+     ValidationError, "all members must share the family's ambient complex"),
+    (lambda: BettiVector(False, {0: 1}, GF2), ContractViolation,
+     "an empty complex has all Betti numbers zero"),
+    (lambda: PolygonFamily(()), ContractViolation, "a polygon family needs at least one member"),
+    (lambda: random_stabbed_family(0, 0, 0.1), ContractViolation, "m must be >= 1"),
+], ids=["declared-zero", "dimension-over-declared", "label-count", "foreign-ambient",
+        "empty-with-betti", "empty-polygon-family", "empty-stabbed-family"])
+def test_constructors_reject_bad_input(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def _family_file():

@@ -6,6 +6,7 @@ import itertools
 import json
 import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,7 +35,7 @@ from helly_topo.helly_engine import (
 )
 from helly_topo.homology import GF2, RATIONALS, betti_number, reduced_betti
 
-from conftest import cells_subcomplex, make_family, rect_subcomplex
+from conftest import cells_subcomplex, make_family, rect_subcomplex, sweep_counts
 
 
 # --- prop-a ----------------------------------------------------------------
@@ -559,14 +560,33 @@ def test_sweep_counts_are_consistent():
     assert rep.hypotheses_failed_conclusion_failed <= rep.trials - rep.hypotheses_satisfied
 
 
-def test_sweep_matches_individual_verdicts():
-    rep = sweep("helly", 10, grid_n=8, m=3, growth_steps=25, seed=9, d=2)
-    satisfied = 0
-    for trial in range(10):
-        fam = random_family(8, 3, 25, seed=9 * 1_000_003 + trial)
-        if run_verifier("helly", fam, GF2, d=2).hypotheses_hold:
-            satisfied += 1
-    assert satisfied == rep.hypotheses_satisfied
+# every row's sweep on grid_complex(8) at seed 9 both meets and misses its
+# hypotheses within 20 trials
+_SWEEP_ROWS = [
+    ("prop-a", 3, 30, {"lam": 1}),
+    ("thm-b", 3, 40, {"lam": 0}),
+    ("helly", 3, 25, {"d": 2}),
+    ("sigma", 4, 20, {}),
+    ("breen", 4, 20, {"d": 2}),
+]
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=["gf2", "q"])
+@pytest.mark.parametrize("theorem, m, growth, params", _SWEEP_ROWS,
+                         ids=[row[0] for row in _SWEEP_ROWS])
+def test_sweep_matches_individual_verdicts(theorem, m, growth, params, field):
+    rep = sweep(theorem, 20, grid_n=8, m=m, growth_steps=growth, seed=9, field=field, **params)
+    verdicts = [run_verifier(theorem, random_family(8, m, growth, 9 * 1_000_003 + t), field,
+                             **params)
+                for t in range(20)]
+    report = rep.to_dict()
+    assert report["counts"] == sweep_counts(verdicts)
+    histogram = Counter((e.j, e.degree) for v in verdicts for e in v.ledger.failed_entries())
+    assert report["hypothesis_failure_histogram"] == [
+        {"j": j, "degree": degree, "count": count}
+        for (j, degree), count in sorted(histogram.items())
+    ]
+    assert 0 < report["counts"]["hypotheses_satisfied"] < 20
 
 
 def test_sweep_reports_are_byte_identical():
@@ -582,8 +602,8 @@ def test_sweep_rejects_unknown_theorem():
 
 def test_sweep_histogram_keys():
     rep = sweep("sigma", 30, grid_n=8, m=3, growth_steps=20, seed=2)
-    for j, degree, count in rep.failure_histogram:
-        assert 1 <= j <= 3 and count >= 1
+    for row in rep.to_dict()["hypothesis_failure_histogram"]:
+        assert 1 <= row["j"] <= 3 and row["count"] >= 1
 
 
 def _relabelled_family(fam, label):

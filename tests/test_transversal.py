@@ -43,6 +43,7 @@ from helly_topo.transversal_plane import (
     ConvexPolygon,
     Panel,
     PolygonFamily,
+    TRANSVERSALS,
     TransversalProfile,
     components,
     disjointness_class,
@@ -59,7 +60,7 @@ from helly_topo.transversal_plane import (
     verify_transversal,
 )
 
-from conftest import random_polygon_family, square, subfamily, vertices
+from conftest import random_polygon_family, square, subfamily, sweep_counts, vertices
 
 
 UNIT_SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -1661,6 +1662,14 @@ def test_random_stabbed_family_matches_the_uniform_reference(m, seed, jitter):
         _reference_random_stabbed_family(m, seed, jitter)
 
 
+def test_placement_ok_refuses_a_candidate_over_an_overlapping_pair():
+    a, b, c, far = ([(x0, 0), (x1, 0), (x1, 2), (x0, 2)]
+                    for x0, x1 in ((0, 4), (2, 6), (3, 5), (10, 12)))
+    assert _placement_ok(c, [a, far]) and _placement_ok(c, [a]) and _placement_ok(c, [b])
+    assert not _placement_ok(c, [a, b])
+    assert not _placement_ok(c, [far, a, b])
+
+
 # --- sweeps ----------------------------------------------------------------
 
 
@@ -1669,6 +1678,21 @@ def test_sweep_transversal_lemmas_have_no_violations():
         rep = sweep_transversal(tag, 20, seed=6)
         assert rep.conclusion_violated == 0
         assert rep.hypotheses_satisfied == rep.trials
+
+
+@pytest.mark.parametrize("tag", sorted(TRANSVERSALS))
+def test_sweep_transversal_matches_individual_verdicts(tag):
+    # each trial's family redrawn through the row's draw with the sweep's rng
+    arity, _, draw = TRANSVERSALS[tag]
+    m = None if arity else 6
+    verdicts = []
+    for t in range(20):
+        ts = 6 * 1_000_003 + t
+        family = draw(random.Random(f"transversal-sweep:{tag}:{ts}"), ts, m)
+        verdicts.append(verify_transversal(tag, family))
+    report = sweep_transversal(tag, 20, seed=6).to_dict()
+    assert report["counts"] == sweep_counts(verdicts)
+    assert list(report) == ["theorem", "trials", "seed", "params", "counts"]
 
 
 def test_sweep_transversal_thm321_counts():
