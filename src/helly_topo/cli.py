@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--member", required=False, help="member label (optional for a single-member family)")
     p_hom.add_argument("--field", choices=["gf2", "q"], default="gf2")
     p_hom.add_argument("--out")
+    p_hom.set_defaults(run=_cmd_homology)
 
     p_ver = sub.add_parser("verify", help="check a theorem's hypotheses and conclusion")
     p_ver.add_argument("theorem", choices=THEOREM_TAGS)
@@ -100,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--d", type=int)
     p_ver.add_argument("--lambda", dest="lam", type=int)
     p_ver.add_argument("--out")
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="randomized hypothesis/conclusion tallies")
     p_sweep.add_argument("--theorem", required=True, choices=THEOREM_TAGS)
@@ -112,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d", type=int)
     p_sweep.add_argument("--lambda", dest="lam", type=int)
     p_sweep.add_argument("--out")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_tr = sub.add_parser("transversal", help="exact transversal-space computations")
     p_tr.add_argument("action", choices=["profile", "components"])
@@ -119,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--resolution", type=int, default=None,
                       help="also run the sampling oracle at this resolution (components only)")
     p_tr.add_argument("--out")
+    p_tr.set_defaults(run=_cmd_transversal)
     return parser
 
 
@@ -266,15 +270,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "homology":
-            return _cmd_homology(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "transversal":
-            return _cmd_transversal(args)
-        raise ContractViolation(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValidationError, MalformedInput, ContractViolation, OSError) as exc:
         _say(f"input error: {exc}")
         return EXIT_VALIDATION

@@ -249,6 +249,11 @@ class PolygonFamily:
         scale = lcm(*(poly.scale for poly in self.members))
         return scale, tuple(_at(poly, scale) for poly in self.members)
 
+    @functools.cached_property
+    def _kernel(self):
+        """The pair-mask kernel `_pair_masks(self)`, built once."""
+        return _pair_masks(self)
+
 
 def _walk_form(verts) -> tuple:
     """A polygon as the merge walk reads it: the vertices from the lowest
@@ -875,35 +880,20 @@ def polygons_disjoint(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     return not _interiors_overlap(_at(a, scale), _at(b, scale))
 
 
-def _full_pairs(kernel: tuple) -> list:
-    """The pairs whose mask in ``kernel`` = `_pair_masks(family)` is full,
-    in `itertools.combinations` order."""
-    full, pair_masks = kernel
-    return [pair for pair, mask in pair_masks.items() if mask == full]
-
-
-def _triangles(pairs) -> list:
-    """Every triple (i, j, k), i < j < k, whose three pairs are all among
-    ``pairs``, index pairs (i, j) with i < j, in lexicographic order."""
-    pairs = set(pairs)
-    return sorted(
-        (i, j, k) for i, j in pairs for j2, k in pairs if j2 == j and (i, k) in pairs
-    )
-
-
-def disjointness_class(family: PolygonFamily, kernel=None) -> str:
+def disjointness_class(family: PolygonFamily) -> str:
     """'pairwise_disjoint', 'semipairwise_disjoint' (among any three members
     some two are disjoint), or 'neither'.
 
     Two interiors meet iff 0 is interior to P_i - P_j, iff the pair's walk
-    finds no roots, iff its mask in ``kernel`` = `_pair_masks(family)`
-    (built here when not given) is full.  The separating-axis test
-    `_interiors_overlap` checks exactly those pairs: a full pair that it
-    calls disjoint raises `InvariantViolation`, so no semipairwise-disjoint
+    finds no roots, iff its mask in the family's pair-mask kernel is full.
+    The separating-axis test `_interiors_overlap` checks exactly those
+    pairs, in `itertools.combinations` order: a full pair that it calls
+    disjoint raises `InvariantViolation`, so no semipairwise-disjoint
     triple has the full circle, as lemma-313 requires.  A pairwise-disjoint
     family makes no separating-axis call."""
     _, polys = family._int_data
-    overlap = _full_pairs(_pair_masks(family) if kernel is None else kernel)
+    full, pair_masks = family._kernel
+    overlap = [pair for pair, mask in pair_masks.items() if mask == full]
     for i, j in overlap:
         if not _interiors_overlap(polys[i], polys[j]):
             raise InvariantViolation(
@@ -912,7 +902,10 @@ def disjointness_class(family: PolygonFamily, kernel=None) -> str:
             )
     if not overlap:
         return "pairwise_disjoint"
-    return "neither" if _triangles(overlap) else "semipairwise_disjoint"
+    # a triple i < j < k whose three pairs all overlap
+    pairs = set(overlap)
+    triple = any((i, k) in pairs for i, j in overlap for j2, k in overlap if j2 == j)
+    return "neither" if triple else "semipairwise_disjoint"
 
 
 # ---------------------------------------------------------------------------
@@ -957,15 +950,30 @@ def _lemma(tag: str, expected: dict, holds, disjoint_pair=None):
     return verify
 
 
+# thm-321's hypothesis blocks, in the order its verdict reports them:
+# (check name, subfamily size, test of each such subfamily's component count)
+_THM321_BLOCKS = (
+    ("size5_nonempty", 5, lambda count: count >= 1),
+    ("size4_connected", 4, lambda count: count == 1),
+)
+
+
+@functools.lru_cache(maxsize=16)
+def _thm321_checks(m: int) -> tuple:
+    """(check name, subset, test) of every subfamily of an m-member family
+    that `_THM321_BLOCKS` checks, each block in combinations order."""
+    return tuple((check, subset, holds) for check, size, holds in _THM321_BLOCKS
+                 for subset in itertools.combinations(range(m), size))
+
+
 @dataclass(frozen=True)
 class TransversalVerdict:
     """``counts`` holds the quotient component counts from the pair-mask
-    kernel: every size-5 subfamily's, then every size-4 subfamily's, each
-    in `itertools.combinations` order, then the whole family's.
-    ``disjointness`` is the family's `disjointness_class`.  ``checks``
-    lists them as the verdict reports them; ``witness`` recomputes the
-    whole family's count from its own envelope profile and checks the two
-    against each other."""
+    kernel: every subfamily's that a block of `_THM321_BLOCKS` checks, in
+    `_thm321_checks` order, then the whole family's.  ``disjointness`` is
+    the family's `disjointness_class`.  ``checks`` lists them as the
+    verdict reports them; ``witness`` recomputes the whole family's count
+    from its own envelope profile and checks the two against each other."""
 
     theorem: str
     disjointness: str
@@ -983,20 +991,13 @@ class TransversalVerdict:
 
     @functools.cached_property
     def checks(self) -> tuple:
-        members = range(self.family.size)
-        semipairwise = self.disjointness in ("pairwise_disjoint", "semipairwise_disjoint")
-        checks = [(("check", "semipairwise_disjoint"), ("observed", self.disjointness),
-                   ("pass", semipairwise))]
-        subsets = itertools.chain(itertools.combinations(members, 5),
-                                  itertools.combinations(members, 4))
-        for combo, count in zip(subsets, self.counts):
-            if len(combo) == 5:
-                checks.append((("check", "size5_nonempty"), ("indices", list(combo)),
-                               ("observed", count), ("pass", count >= 1)))
-            else:
-                checks.append((("check", "size4_connected"), ("indices", list(combo)),
-                               ("observed", count), ("pass", count == 1)))
-        return tuple(checks)
+        rows = zip(_thm321_checks(self.family.size), self.counts)
+        return (
+            (("check", "semipairwise_disjoint"), ("observed", self.disjointness),
+             ("pass", self.disjointness != "neither")),
+            *((("check", check), ("indices", list(subset)), ("observed", count),
+               ("pass", holds(count))) for (check, subset, holds), count in rows),
+        )
 
     @functools.cached_property
     def witness(self) -> dict:
@@ -1025,20 +1026,14 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
     m = family.size
     if m < 6:
         raise ContractViolation("the theorem needs a family of at least 6 members")
-    kernel = _pair_masks(family)
-    cls = disjointness_class(family, kernel)
-    semipairwise = cls in ("pairwise_disjoint", "semipairwise_disjoint")
-    combos5 = list(itertools.combinations(range(m), 5))
-    combos4 = list(itertools.combinations(range(m), 4))
+    kernel = family._kernel  # built before the classification reads it
+    cls = disjointness_class(family)
+    rows = _thm321_checks(m)
     # the whole family last: Helly's theorem on the line makes its feasible
     # set the AND of all pair masks
-    counts = _subfamily_counts(kernel, combos5 + combos4 + [tuple(range(m))])
-    n5 = len(combos5)
-    hypotheses_hold = (
-        semipairwise
-        and all(c >= 1 for c in counts[:n5])
-        and all(c == 1 for c in counts[n5:-1])
-    )
+    counts = _subfamily_counts(kernel, [subset for _, subset, _ in rows] + [tuple(range(m))])
+    hypotheses_hold = cls != "neither" and all(
+        holds(count) for (_, _, holds), count in zip(rows, counts))
     return TransversalVerdict("thm-321", cls, tuple(counts), hypotheses_hold, family)
 
 

@@ -146,6 +146,15 @@ def test_sweep_generation_failure_exits_one(monkeypatch, capsys):
     assert captured.err.startswith("generation failure:")
 
 
+def test_lemma_sweep_generation_failure_exits_one(monkeypatch, capsys):
+    # random_disjoint_pair gives up when none of its draws is disjoint
+    monkeypatch.setattr(transversal_plane, "polygons_disjoint", lambda a, b: False)
+    code = main(["sweep", "--theorem", "lemma-312", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("generation failure:")
+
+
 def _surface_file(tmp_path, triangles, declared):
     """A closed surface as ambient, its triangles as members."""
     path = tmp_path / "surface.json"

@@ -175,6 +175,14 @@ def test_complex_errors_name_the_culprit(simplices, text):
     assert str(err.value) == text
 
 
+def test_complex_from_a_plain_set_equals_the_frozen_one():
+    # `_top_boundary_injective`'s cache is keyed on the complex's hash
+    cx = SimplicialComplex({(0,), (1,), (0, 1)}, 1)
+    assert isinstance(cx.simplices, frozenset)
+    assert cx == build_complex([[0, 1]])
+    assert hash(cx) == hash(build_complex([[0, 1]]))
+
+
 def test_empty_family_rejected():
     ambient = build_complex([[0]])
     with pytest.raises(ContractViolation):

@@ -179,7 +179,7 @@ def test_modules_import_each_other_in_layers():
 EXACT_KERNELS = (
     "_walk_form", "_negated_form", "_walk_zeros", "_pair_masks", "_pairs_of",
     "_subfamily_counts", "_sort_directions", "_interiors_overlap", "_set_lattice",
-    "_convex_hull", "verify_theorem_321", "disjointness_class", "_full_pairs", "_triangles",
+    "_convex_hull", "verify_theorem_321", "_thm321_checks", "disjointness_class", "_kernel",
     "_placement_ok", "_primitive", "_climb", "transversal_profile", "_narrow",
 )
 

@@ -401,6 +401,29 @@ def test_monotonicity_adding_member_shrinks_widths():
         assert w2 <= w1 + 1e-12
 
 
+# the four axis panels (1,0) -> (0,1) -> (-1,0) -> (0,-1) -> (1,0)
+AXIS_PANELS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _axis_profile(boundary_signs, panel_signs) -> TransversalProfile:
+    """A hand-built profile over the four axis panels with the given signs."""
+    panels = tuple(
+        Panel(AXIS_PANELS[k], AXIS_PANELS[(k + 1) % 4], 0, (0, 0), 0, (0, 0), sign)
+        for k, sign in enumerate(panel_signs)
+    )
+    return TransversalProfile(1, panels, tuple(boundary_signs))
+
+
+@pytest.mark.parametrize("boundary_signs, panel_signs, message", [
+    ([1, -1, -1, -1], [-1, -1, -1, -1], "isolated boundary point"),
+    ([-1, -1, -1, -1], [1, -1, -1, -1], "antipodal pairs"),
+    ([-1, -1, -1, -1], [1, 1, -1, -1], r"one member in \[0, pi\)"),
+], ids=["isolated-point", "unpaired-arc", "both-arcs-upper"])
+def test_components_raise_on_an_inconsistent_profile(boundary_signs, panel_signs, message):
+    with pytest.raises(InvariantViolation, match=message):
+        components(_axis_profile(boundary_signs, panel_signs))
+
+
 def test_sample_oracle_single_square():
     assert sample_oracle(PolygonFamily((UNIT_SQUARE,)), 1024).full_circle
 
@@ -1133,6 +1156,15 @@ def test_pair_masks_raise_on_non_adjacent_zeros(monkeypatch, extra):
         _pair_masks(fam)
 
 
+def test_pair_masks_raise_on_six_roots(monkeypatch):
+    # three zeros in the upper half make six roots in the cut
+    monkeypatch.setattr(transversal_plane, "_walk_zeros",
+                        lambda f_form, g_form, sign: [(1, 0), (0, 1), (1, 1)])
+    fam = PolygonFamily((square(0, 0), square(10, 0)))
+    with pytest.raises(InvariantViolation, match="has 6 roots, not 0, 2 or 4"):
+        _pair_masks(fam)
+
+
 # PUNCTURED_TRIPLE, then a bar that overlaps the small square P3 and a
 # square P5 disjoint from P3, then a square further along: semipairwise but
 # not pairwise disjoint, with 0-root pairs (P3, P4) and (P4, P5), the
@@ -1245,8 +1277,9 @@ def test_triple_audit_fires_on_a_full_disjoint_pair(monkeypatch):
         return full, {**masks, (1, 2): full}
 
     monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
+    # a fresh family: ``fam`` already holds the unpatched kernel
     with pytest.raises(InvariantViolation, match=r"pair \[1, 2\] has the full circle"):
-        verify_theorem_321(fam)
+        verify_theorem_321(PolygonFamily(fam.members))
 
 
 def test_pair_check_fires_on_a_lone_full_disjoint_pair(monkeypatch):
@@ -1314,7 +1347,6 @@ def test_disjointness_class_matches_the_every_pair_reference():
                                         seed=seed)
             expected = _reference_disjointness_class(fam)
             assert disjointness_class(fam) == expected
-            assert disjointness_class(fam, _pair_masks(fam)) == expected
             assert verify_theorem_321(fam).disjointness == expected
             classes.add(expected)
     assert classes == {"pairwise_disjoint", "semipairwise_disjoint", "neither"}
@@ -1338,6 +1370,23 @@ def test_verify_runs_the_separating_axis_test_only_on_full_pairs(monkeypatch):
     assert verify_theorem_321(fam).disjointness == "semipairwise_disjoint"
     _, polys = fam._int_data
     assert calls == [(polys[2], polys[3]), (polys[3], polys[4])]
+
+
+def test_verify_builds_the_kernel_once_per_family(monkeypatch):
+    built = []
+    kernel = transversal_plane._pair_masks
+
+    def counted(family):
+        built.append(family)
+        return kernel(family)
+
+    monkeypatch.setattr(transversal_plane, "_pair_masks", counted)
+    fam = PolygonFamily(SEMIPAIRWISE_FAMILY)
+    verdict = verify_theorem_321(fam)
+    verdict.to_dict()
+    verify_theorem_321(fam)
+    assert disjointness_class(fam) == verdict.disjointness
+    assert built == [fam]
 
 
 def test_witness_disagreeing_with_the_kernel_raises(monkeypatch, capsys):
@@ -1660,6 +1709,18 @@ def _reference_random_stabbed_family(m, seed, jitter):
 def test_random_stabbed_family_matches_the_uniform_reference(m, seed, jitter):
     assert random_stabbed_family(m, seed, jitter) == \
         _reference_random_stabbed_family(m, seed, jitter)
+
+
+def test_random_disjoint_pair_gives_up_when_no_draw_is_disjoint(monkeypatch):
+    monkeypatch.setattr(transversal_plane, "polygons_disjoint", lambda a, b: False)
+    with pytest.raises(GenerationFailure, match="could not place a disjoint pair"):
+        random_disjoint_pair(1)
+
+
+def test_random_stabbed_family_gives_up_when_no_placement_is_ok(monkeypatch):
+    monkeypatch.setattr(transversal_plane, "_placement_ok", lambda candidate, existing: False)
+    with pytest.raises(GenerationFailure, match="could not place member 1 "):
+        random_stabbed_family(6, 1, 0.3)
 
 
 def test_placement_ok_refuses_a_candidate_over_an_overlapping_pair():
