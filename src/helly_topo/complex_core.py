@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from .errors import ContractViolation, MalformedInput, ValidationError
+from .sweeps import read_members, read_text
 
 
 def as_simplex(vertices) -> tuple:
@@ -180,7 +180,7 @@ class Subcomplex:
         members = frozenset(member_simplices)
         index = parent._index
         mask = need = 0
-        for s in members:
+        for s in sorted(members):  # so a missing simplex named is the least one
             i = index.bit.get(s)
             if i is None:
                 raise ValidationError(f"simplex {list(s)} is not in the ambient complex")
@@ -384,18 +384,10 @@ def parse_family(text: str) -> SubcomplexFamily:
 
     Schema: {"ambient": [[v,...],...], "embedding_dim": d,
              "members": [{"label": str, "simplices": [[v,...],...]}, ...]}
-    where simplex lists give maximal simplices and members are face-closed
-    against the ambient complex.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"family file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError("family file must be a JSON object")
-    for key in ("ambient", "embedding_dim", "members"):
-        if key not in data:
-            raise ValidationError(f"family file is missing the {key!r} key")
+    where simplex lists give maximal simplices.  `sweeps.read_members`
+    checks the envelope, and each member is the checked `Subcomplex` of
+    its simplices' face closure."""
+    data, pairs = read_members(text, "family", "simplices", keys=("ambient", "embedding_dim"))
     if not isinstance(data["embedding_dim"], int) or isinstance(data["embedding_dim"], bool):
         raise ValidationError("embedding_dim must be an integer")
     try:
@@ -404,42 +396,16 @@ def parse_family(text: str) -> SubcomplexFamily:
         raise ValidationError(f"bad ambient complex: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError("bad ambient complex: expected a list of vertex lists") from exc
-    members_spec = data["members"]
-    if not isinstance(members_spec, list):
-        raise ValidationError("members must be a list")
-    if len(members_spec) == 0:
-        raise ContractViolation("family file declares zero members")
     members = []
-    labels = []
-    for pos, entry in enumerate(members_spec):
-        if not isinstance(entry, dict) or "label" not in entry or "simplices" not in entry:
-            raise ValidationError(f"member #{pos} must be an object with 'label' and 'simplices'")
-        label = entry["label"]
-        if not isinstance(label, str):
-            raise ValidationError(f"member #{pos} label must be a string")
+    for label, simplices in pairs:
         try:
-            simps = [as_simplex(s) for s in entry["simplices"]]
-        except MalformedInput as exc:
+            members.append(Subcomplex(ambient, face_closure(as_simplex(s) for s in simplices)))
+        except (MalformedInput, ValidationError) as exc:
             raise ValidationError(f"member {label!r}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"member {label!r}: expected a list of vertex lists") from exc
-        mask = 0
-        for s in sorted(face_closure(simps)):
-            i = ambient._index.bit.get(s)
-            if i is None:
-                raise ValidationError(
-                    f"member {label!r} lists simplex {list(s)} absent from the ambient complex"
-                )
-            mask |= 1 << i
-        members.append(Subcomplex._from_mask(ambient, mask))  # a face closure is closed
-        labels.append(label)
-    return SubcomplexFamily(ambient, tuple(members), tuple(labels))
+    return SubcomplexFamily(ambient, tuple(members), tuple(label for label, _ in pairs))
 
 
 def load_family(path) -> SubcomplexFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"family file is not valid UTF-8: {exc}") from exc
-    return parse_family(text)
+    return parse_family(read_text(path, "family"))

@@ -1,11 +1,51 @@
 """What the simplicial and transversal halves share, so neither imports
-the other: a theorem table's row lookup and the sweep tally."""
+the other: the member-file reader, a theorem table's row lookup and the
+sweep tally."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ValidationError
+
+
+def read_text(path, kind: str) -> str:
+    """The text of a ``kind`` file, which must be valid UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{kind} file is not valid UTF-8: {exc}") from exc
+
+
+def read_members(text: str, kind: str, payload: str, keys=()) -> tuple:
+    """The decoded JSON object of a ``kind`` file and its (label, payload)
+    pairs.  Any departure from the envelope, an object holding ``keys`` and
+    a nonempty ``members`` list of ``{"label": str, payload: ...}`` objects,
+    is a `ValidationError`; the values are the caller's to check."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{kind} file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{kind} file must be a JSON object")
+    for key in (*keys, "members"):
+        if key not in data:
+            raise ValidationError(f"{kind} file is missing the {key!r} key")
+    spec = data["members"]
+    if not isinstance(spec, list):
+        raise ValidationError("members must be a list")
+    if not spec:
+        raise ValidationError(f"{kind} file declares zero members")
+    pairs = []
+    for pos, entry in enumerate(spec):
+        if not isinstance(entry, dict) or "label" not in entry or payload not in entry:
+            raise ValidationError(f"member #{pos} must be an object with 'label' and {payload!r}")
+        if not isinstance(entry["label"], str):
+            raise ValidationError(f"member #{pos} label must be a string")
+        pairs.append((entry["label"], entry[payload]))
+    return data, pairs
 
 
 def theorem_row(table: dict, tag: str):

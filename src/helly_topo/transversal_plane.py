@@ -57,7 +57,7 @@ from .errors import (
     InvariantViolation,
     ValidationError,
 )
-from .sweeps import SweepReport, tally_sweep, theorem_row
+from .sweeps import SweepReport, read_members, read_text, tally_sweep, theorem_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -775,10 +775,10 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     return full, pair_masks
 
 
-@functools.lru_cache(maxsize=512)
+@functools.cache
 def _pairs_of(subset: tuple) -> tuple:
     """A subfamily's index pairs, kept across calls: a sweep checks the
-    same subfamilies in every trial, 22 of them at m = 6 and 463 at m = 10."""
+    same subfamilies in every trial, 22 of them at m = 6 and 793 at m = 11."""
     return tuple(itertools.combinations(subset, 2))
 
 
@@ -1167,43 +1167,20 @@ def parse_polygon_family(text: str) -> PolygonFamily:
 
     Schema: {"members": [{"label": str, "vertices": [[x, y], ...]}, ...]}
     with CCW vertices, each a two-element list; coordinates may be numbers,
-    'p/q' strings, or exact decimal strings.
+    'p/q' strings, or exact decimal strings.  `sweeps.read_members` checks
+    the envelope and `ConvexPolygon` each member's vertices.
     """
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"polygon file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "members" not in data:
-        raise ValidationError("polygon file must be an object with a 'members' list")
-    members_spec = data["members"]
-    if not isinstance(members_spec, list) or not members_spec:
-        raise ValidationError("polygon file needs at least one member")
-    members = []
-    labels = []
-    for pos, entry in enumerate(members_spec):
-        if not isinstance(entry, dict) or "label" not in entry or "vertices" not in entry:
-            raise ValidationError(f"member #{pos} must be an object with 'label' and 'vertices'")
-        label = entry["label"]
-        if not isinstance(label, str):
-            raise ValidationError(f"member #{pos} label must be a string")
+    members, pairs = [], read_members(text, "polygon", "vertices")[1]
+    for label, vertices in pairs:
         try:
-            poly = ConvexPolygon(entry["vertices"])
+            members.append(ConvexPolygon(vertices))
         except ValidationError as exc:
             raise ValidationError(f"member {label!r}: {exc}") from exc
-        members.append(poly)
-        labels.append(label)
-    return PolygonFamily(tuple(members), tuple(labels))
+    return PolygonFamily(tuple(members), tuple(label for label, _ in pairs))
 
 
 def load_polygon_family(path) -> PolygonFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"polygon file is not valid UTF-8: {exc}") from exc
-    return parse_polygon_family(text)
+    return parse_polygon_family(read_text(path, "polygon"))
 
 
 # ---------------------------------------------------------------------------

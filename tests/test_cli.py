@@ -373,10 +373,19 @@ _FAMILY = {
         (["transversal", "components"],
          json.dumps({"members": [{"label": 1, "vertices": [[0, 0], [1, 0], [0, 1]]}]}),
          "member #0 label must be a string"),
+        (["homology", "--member", "A1"], json.dumps({**_FAMILY, "members": []}),
+         "family file declares zero members"),
+        (["transversal", "components"], "[]", "polygon file must be a JSON object"),
+        (["transversal", "components"], "{}", "polygon file is missing the 'members' key"),
+        (["transversal", "components"], json.dumps({"members": {}}), "members must be a list"),
+        (["transversal", "components"], json.dumps({"members": []}),
+         "polygon file declares zero members"),
     ],
     ids=["family-not-object", "family-missing-key", "family-bad-ambient", "members-not-list",
          "member-not-object", "member-label-not-string", "member-bad-simplex", "unknown-member",
-         "polygons-not-json", "polygon-not-object", "polygon-label-not-string"],
+         "polygons-not-json", "polygon-not-object", "polygon-label-not-string",
+         "family-zero-members", "polygon-file-not-object", "polygon-missing-key",
+         "polygon-members-not-list", "polygon-zero-members"],
 )
 def test_input_file_rejections_exit_three(tmp_path, capsys, argv, text, message):
     path = tmp_path / "input.json"

@@ -245,14 +245,14 @@ def test_parse_rejects_simplex_outside_ambient():
         with pytest.raises(ValidationError) as err:
             parse_family(json.dumps(data))
         assert str(err.value) == (
-            f"member 'A1' lists simplex {first_missing} absent from the ambient complex"
+            f"member 'A1': simplex {first_missing} is not in the ambient complex"
         )
 
 
 def test_parse_rejects_zero_members():
     data = _family_file()
     data["members"] = []
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ValidationError):
         parse_family(json.dumps(data))
 
 

@@ -3,7 +3,8 @@ only: every imported name is used, the package imports nothing outside the
 standard library (its ``dependencies`` list is empty), every name the
 package exports has a reader inside the package, the package holds no
 ``assert`` statement (``python -O`` strips them, so an invariant check
-must raise a real error), and its modules import each other in layers."""
+must raise a real error), and its modules import each other in layers.
+The last test runs the README's library example."""
 
 import ast
 import sys
@@ -180,28 +181,35 @@ EXACT_KERNELS = (
     "_walk_form", "_negated_form", "_walk_zeros", "_pair_masks", "_pairs_of",
     "_subfamily_counts", "_sort_directions", "_interiors_overlap", "_set_lattice",
     "_convex_hull", "verify_theorem_321", "_thm321_checks", "disjointness_class", "_kernel",
-    "_placement_ok", "_primitive", "_climb", "transversal_profile", "_narrow",
+    "_placement_ok", "_primitive", "_climb", "transversal_profile", "_narrow", "_THM321_BLOCKS",
 )
 
 
 def _float_arithmetic(tree, names) -> list:
-    """(function, line, what) of every float literal, true division and
+    """(name, line, what) of every float literal, true division and
     ``math`` attribute other than ``math.gcd`` inside the named functions,
-    nested functions included; a named function missing from the tree is
-    reported with line 0."""
+    nested functions included, and inside assignments to the named names,
+    such as a table of lambdas; a name missing from the tree is reported
+    with line 0."""
     found, seen = [], set()
     for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name not in names:
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = func.name
+        elif isinstance(func, ast.Assign) and isinstance(func.targets[0], ast.Name):
+            name = func.targets[0].id
+        else:
             continue
-        seen.add(func.name)
+        if name not in names:
+            continue
+        seen.add(name)
         for node in ast.walk(func):
             if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
-                found.append((func.name, node.lineno, repr(node.value)))
+                found.append((name, node.lineno, repr(node.value)))
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                found.append((func.name, node.lineno, "/"))
+                found.append((name, node.lineno, "/"))
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id == "math" and node.attr != "gcd"):
-                found.append((func.name, node.lineno, f"math.{node.attr}"))
+                found.append((name, node.lineno, f"math.{node.attr}"))
     found += [(name, 0, "missing") for name in names if name not in seen]
     return sorted(found)
 
@@ -214,8 +222,11 @@ def test_float_check_finds_floats_in_exact_kernels():
         "        def key(x):\n            return math.floor(x) + 0.5\n"
         "        return t, math.pi, 1e-3\n"
         "def outside(a):\n    return a / 2.0 + math.sqrt(a)\n"
+        "TABLE = (('half', 2, lambda count: count >= 0.5),)\n"
+        "OTHER = 0.25\n"
     )
-    assert _float_arithmetic(tree, ("exact", "kernel", "gone")) == [
+    assert _float_arithmetic(tree, ("exact", "kernel", "TABLE", "gone")) == [
+        ("TABLE", 14, "0.5"),
         ("gone", 0, "missing"),
         ("kernel", 7, "/"), ("kernel", 8, "/"),
         ("kernel", 10, "0.5"), ("kernel", 10, "math.floor"),
@@ -227,3 +238,12 @@ def test_exact_kernels_hold_no_float_arithmetic():
     path = ROOT / "src" / "helly_topo" / "transversal_plane.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _float_arithmetic(tree, EXACT_KERNELS) == []
+
+
+def test_readme_library_example_prints_what_its_comments_promise(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    promised = [line.rsplit("#", 1)[1].strip() for line in code.splitlines() if "#" in line]
+    assert promised == ["1 True", "True 1"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-2:] == promised

@@ -1534,6 +1534,16 @@ def test_theorem_321_requires_six_members():
         verify_theorem_321(fam)
 
 
+def test_pairs_of_keeps_every_subset_of_an_m11_verify():
+    # an m = 11 verify asks for 793 subsets' pairs; a cache bounded below
+    # that evicts them all before the next verify asks again
+    fam = random_stabbed_family(11, 0, jitter=0.3)
+    verify_theorem_321(fam)
+    misses = transversal_plane._pairs_of.cache_info().misses
+    verify_theorem_321(fam)
+    assert transversal_plane._pairs_of.cache_info().misses == misses
+
+
 # --- generators ------------------------------------------------------------
 
 
