@@ -41,20 +41,12 @@ from .helly_engine import (
     sweep,
 )
 from .sweeps import SweepReport
+from .transversal_kernel import ConvexPolygon, PolygonFamily, disjointness_class, polygons_disjoint
+from .envelope import (
+    ComponentSummary, TransversalProfile, components, sample_oracle, transversal_profile,
+)
 from .transversal_plane import (
-    ConvexPolygon,
-    PolygonFamily,
-    ComponentSummary,
-    TransversalProfile,
-    components,
-    disjointness_class,
-    polygons_disjoint,
-    sample_oracle,
-    transversal_profile,
-    parse_polygon_family,
-    load_polygon_family,
-    sweep_transversal,
-    verify_theorem_321,
+    parse_polygon_family, load_polygon_family, sweep_transversal, verify_theorem_321,
     verify_transversal,
 )
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .complex_core import load_family
+from .envelope import components, sample_oracle, transversal_profile
 from .errors import (
     ContractViolation,
     GenerationFailure,
@@ -221,7 +222,7 @@ def _cmd_transversal(args) -> int:
         raise ValidationError("--resolution applies to transversal components only")
     family = tp.load_polygon_family(args.infile)
     if args.action == "profile":
-        prof = tp.transversal_profile(family)
+        prof = transversal_profile(family)
 
         def envelope(member, vertex):
             # the envelope is a*cos(t) + b*sin(t), with the vertex as (a, b)
@@ -246,11 +247,11 @@ def _cmd_transversal(args) -> int:
         _emit(_envelope("transversal-profile", {"in": args.infile}, result), args.out)
         _say(f"profile with {len(pieces)} panels")
         return EXIT_OK
-    summary = tp.components(tp.transversal_profile(family))
+    summary = components(transversal_profile(family))
     result = summary.to_dict()
     params = {"in": args.infile}
     if args.resolution is not None:
-        oracle = tp.sample_oracle(family, args.resolution)
+        oracle = sample_oracle(family, args.resolution)
         result = {
             "exact": result,
             "oracle": oracle.to_dict(),

@@ -15,14 +15,14 @@ from helly_topo.complex_core import (
 )
 from helly_topo.errors import ContractViolation, GenerationFailure
 from helly_topo.homology import GF2, reduced_betti
-from helly_topo.transversal_plane import (
+from helly_topo.polygon_draws import _GRID, random_convex_polygon
+from helly_topo.transversal_kernel import (
     ConvexPolygon,
     PolygonFamily,
-    _GRID,
     _at,
+    _convex_hull,
     _interiors_overlap,
     _placement_ok,
-    random_convex_polygon,
 )
 
 
@@ -243,6 +243,26 @@ def random_polygon_family(m: int, box=(-8.0, 8.0, -8.0, 8.0), size_range=(0.5, 1
         if _placement_allowed(verts, scaled, disjointness):
             members.append(poly)
             scaled.append(verts)
+    return PolygonFamily(tuple(members))
+
+
+def lattice_family(m: int, seed: int) -> PolygonFamily:
+    """m integer hulls of 3-6 random points in a 3x3 box each, the boxes
+    centred near one random lattice line y = floor(a * x / 2) + c with x
+    in [-4, 4]; deterministic per seed.  Members touch at edges and
+    corners, share support lines, overlap and repeat, which members drawn
+    near a circle and rounded to a fine lattice almost never do."""
+    rng = random.Random(f"lattice-family:{m}:{seed}")
+    a, c = rng.randint(-3, 3), rng.randint(-2, 2)
+    members = []
+    while len(members) < m:
+        x = rng.randint(-4, 4)
+        y = (a * x) // 2 + c + rng.randint(-1, 1)
+        points = [(x + rng.randint(-1, 1), y + rng.randint(-1, 1))
+                  for _ in range(rng.randint(3, 6))]
+        hull = _convex_hull(points)
+        if len(hull) >= 3:
+            members.append(ConvexPolygon._lattice(tuple(hull), 1))
     return PolygonFamily(tuple(members))
 
 

@@ -13,16 +13,10 @@ import pytest
 
 from helly_topo.helly_engine import random_family, run_verifier, sweep
 from helly_topo.homology import GF2, RATIONALS, reduced_betti
-from helly_topo.transversal_plane import (
-    PolygonFamily,
-    components,
-    random_convex_polygon,
-    random_disjoint_pair,
-    sample_oracle,
-    sweep_transversal,
-    transversal_profile,
-    verify_transversal,
-)
+from helly_topo.envelope import components, sample_oracle, transversal_profile
+from helly_topo.polygon_draws import random_convex_polygon, random_disjoint_pair
+from helly_topo.transversal_kernel import PolygonFamily
+from helly_topo.transversal_plane import sweep_transversal, verify_transversal
 
 from conftest import known_spaces, mv_consistency, random_polygon_family, reduced_euler
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helly_topo import transversal_plane
+from helly_topo import polygon_draws, transversal_plane
 from helly_topo.cli import THEOREM_TAGS, build_parser, main
 from helly_topo.errors import GenerationFailure
 from helly_topo.helly_engine import THEOREMS
@@ -148,7 +148,7 @@ def test_sweep_generation_failure_exits_one(monkeypatch, capsys):
 
 def test_lemma_sweep_generation_failure_exits_one(monkeypatch, capsys):
     # random_disjoint_pair gives up when none of its draws is disjoint
-    monkeypatch.setattr(transversal_plane, "polygons_disjoint", lambda a, b: False)
+    monkeypatch.setattr(polygon_draws, "polygons_disjoint", lambda a, b: False)
     code = main(["sweep", "--theorem", "lemma-312", "--trials", "1"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

@@ -23,7 +23,8 @@ from helly_topo.complex_core import (
 from helly_topo.errors import ContractViolation, MalformedInput, ValidationError
 from helly_topo.helly_engine import random_family
 from helly_topo.homology import GF2, BettiVector
-from helly_topo.transversal_plane import PolygonFamily, random_stabbed_family
+from helly_topo.polygon_draws import random_stabbed_family
+from helly_topo.transversal_kernel import PolygonFamily
 
 from conftest import known_spaces, make_family
 

@@ -4,7 +4,8 @@ Replays the CLI argv corpus and the first trials of every benchmark
 workload at the primary and holdout seeds, and compares them with the
 digests and outputs recorded under ``perfbench/golden``. Then runs each
 command of ``PINNED_REPORTS`` in-process and compares the SHA-256 of its
-stdout with the row's digest.
+stdout with the row's digest.  Last, runs short transversal sweeps under
+the benchmark's tracer and pins how many calls each span records.
 """
 
 import os
@@ -16,7 +17,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gate  # noqa: E402
+import tracer  # noqa: E402
 import workloads  # noqa: E402
+from helly_topo import transversal_plane  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -92,3 +95,27 @@ PINNED_REPORTS = [
 def test_pinned_report_digests(name, argv, sha256):
     code, out, err = gate.run_cli(argv.split())
     assert (code, gate.digest([out])) == (0, sha256), f"helly-topo {argv}: {err}"
+
+
+# (theorem, trials, m, calls per span): short transversal sweeps at seed 3.
+# The tracer rebinds each spanned function wherever a package module binds
+# it, so a caller that reaches one by any other route drops out of a count.
+TRACED_SWEEPS = [
+    ("thm-321", 5, 6, {"generate": 5, "polygon_draws": 30, "verify": 5, "disjointness": 5}),
+    ("lemma-311", 4, None, {"polygon_draws": 4, "profile": 4, "components": 4}),
+    ("lemma-312", 4, None, {"polygon_draws": 8, "profile": 4, "components": 4}),
+    ("lemma-313", 4, None, {"polygon_draws": 12, "profile": 4, "components": 4}),
+]
+
+
+@pytest.mark.parametrize("theorem, trials, m, calls", TRACED_SWEEPS,
+                         ids=[row[0] for row in TRACED_SWEEPS])
+def test_traced_transversal_sweeps_pin_every_span_call(theorem, trials, m, calls):
+    sizes = {} if m is None else {"m": m}
+    plain = transversal_plane.sweep_transversal(theorem, trials, seed=3, **sizes).to_dict()
+    t = tracer.Tracer()
+    with t:
+        traced = transversal_plane.sweep_transversal(theorem, trials, seed=3, **sizes).to_dict()
+    assert traced == plain
+    assert {name: n for name, n in t.counts.items() if name.endswith(".calls")} == {
+        f"transversal_plane.{span}.calls": n for span, n in calls.items()}

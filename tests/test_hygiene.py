@@ -168,29 +168,55 @@ def test_modules_import_each_other_in_layers():
     # the other's kernels without an import cycle
     imports = {path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
                for path in PACKAGE}
-    assert not imports["transversal_plane"] & {"helly_engine", "complex_core", "homology"}
-    assert "transversal_plane" not in imports["helly_engine"]
+    transversal = {"transversal_kernel", "envelope", "polygon_draws", "transversal_plane"}
+    for module in transversal:
+        assert not imports[module] & {"helly_engine", "complex_core", "homology"}, module
+    assert not imports["helly_engine"] & transversal
     assert imports["sweeps"] == {"errors"}
+    # within the transversal half the exact kernel stands alone, the
+    # envelope oracle and the draws rest on it only, and the theorem table
+    # on all three
+    assert imports["transversal_kernel"] == {"errors"}
+    assert imports["envelope"] == imports["polygon_draws"] == {"errors", "transversal_kernel"}
+    assert imports["transversal_plane"] == {
+        "errors", "sweeps", "transversal_kernel", "envelope", "polygon_draws"}
 
 
-# The pair-mask kernel, the checks it rests on, the functions that decide a
-# thm-321 verdict, the profile that is its oracle and the narrow-feature
-# test of `components` decide every sign in integer arithmetic; a float
-# there could decide one wrongly.
-EXACT_KERNELS = (
-    "_walk_form", "_negated_form", "_walk_zeros", "_pair_masks", "_pairs_of",
-    "_subfamily_counts", "_sort_directions", "_interiors_overlap", "_set_lattice",
-    "_convex_hull", "verify_theorem_321", "_thm321_checks", "disjointness_class", "_kernel",
-    "_placement_ok", "_primitive", "_climb", "transversal_profile", "_narrow", "_THM321_BLOCKS",
-)
+# A float could decide a sign wrongly.  These modules decide every sign in
+# integer arithmetic throughout, but for the functions listed with them:
+# the exact kernel (walk forms, pair masks and counts, the disjointness
+# class and the checks they rest on) skips only `_to_fraction`, which reads
+# an input coordinate exactly.
+EXACT_MODULES = {"transversal_kernel": ("_to_fraction",)}
+# The exact names in modules that also report floats: the profile that is
+# the pair-mask kernel's oracle, the narrow-feature test of `components`
+# and the functions that decide a thm-321 verdict.
+EXACT_KERNELS = {
+    "envelope": ("transversal_profile", "_climb", "_narrow"),
+    "transversal_plane": ("verify_theorem_321", "_thm321_checks", "_THM321_BLOCKS"),
+}
+
+
+def _floats(tree) -> list:
+    """(line, what) of every float literal, true division and ``math``
+    attribute other than ``math.gcd`` in a tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr != "gcd"):
+            found.append((node.lineno, f"math.{node.attr}"))
+    return found
 
 
 def _float_arithmetic(tree, names) -> list:
-    """(name, line, what) of every float literal, true division and
-    ``math`` attribute other than ``math.gcd`` inside the named functions,
-    nested functions included, and inside assignments to the named names,
-    such as a table of lambdas; a name missing from the tree is reported
-    with line 0."""
+    """(name, line, what) of every float found by `_floats` inside the
+    named functions, nested functions included, and inside assignments to
+    the named names, such as a table of lambdas; a name missing from the
+    tree is reported with line 0."""
     found, seen = [], set()
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -202,15 +228,22 @@ def _float_arithmetic(tree, names) -> list:
         if name not in names:
             continue
         seen.add(name)
-        for node in ast.walk(func):
-            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
-                found.append((name, node.lineno, repr(node.value)))
-            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                found.append((name, node.lineno, "/"))
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "math" and node.attr != "gcd"):
-                found.append((name, node.lineno, f"math.{node.attr}"))
+        found += [(name, line, what) for line, what in _floats(func)]
     found += [(name, 0, "missing") for name in names if name not in seen]
+    return sorted(found)
+
+
+def _module_float_arithmetic(tree, skip) -> list:
+    """(line, what) of every float found by `_floats` in a module but
+    inside its top-level functions named in ``skip``; a skipped name
+    missing from the module is reported with line 0."""
+    found, seen = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in skip:
+            seen.add(node.name)
+        else:
+            found += _floats(node)
+    found += [(0, f"missing {name}") for name in skip if name not in seen]
     return sorted(found)
 
 
@@ -234,10 +267,31 @@ def test_float_check_finds_floats_in_exact_kernels():
     ]
 
 
+def test_module_float_check_skips_only_the_named_functions():
+    tree = ast.parse(
+        "import math\nfrom math import gcd\nSCALE = 10 ** 4\nHALF = 0.5\n"
+        "def read(x):\n    return float(x) / 2\n"
+        "class Polygon:\n    def area(self):\n        return math.fabs(self.twice) / 2\n"
+        "def exact(a, b):\n    return a // gcd(a, b)\n"
+    )
+    assert _module_float_arithmetic(tree, ("read", "gone")) == [
+        (0, "missing gone"), (4, "0.5"), (9, "/"), (9, "math.fabs"),
+    ]
+
+
+def _module_tree(module):
+    path = ROOT / "src" / "helly_topo" / f"{module}.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_exact_modules_hold_no_float_arithmetic():
+    for module, skip in EXACT_MODULES.items():
+        assert _module_float_arithmetic(_module_tree(module), skip) == [], module
+
+
 def test_exact_kernels_hold_no_float_arithmetic():
-    path = ROOT / "src" / "helly_topo" / "transversal_plane.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _float_arithmetic(tree, EXACT_KERNELS) == []
+    for module, names in EXACT_KERNELS.items():
+        assert _float_arithmetic(_module_tree(module), names) == [], module
 
 
 def test_readme_library_example_prints_what_its_comments_promise(capsys):

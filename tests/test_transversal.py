@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,23 +13,36 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helly_topo.cli import main
-from helly_topo import transversal_plane
+from helly_topo import polygon_draws, transversal_kernel, transversal_plane
 from helly_topo.errors import (
     ContractViolation,
     GenerationFailure,
     InvariantViolation,
     ValidationError,
 )
-from helly_topo.transversal_plane import (
+from helly_topo.envelope import (
     NARROW_FEATURE_WIDTH,
     TWO_PI,
     _angle,
+    _cyclic_runs,
+    _narrow,
+    ComponentSummary,
+    Panel,
+    TransversalProfile,
+    components,
+    sample_oracle,
+    transversal_profile,
+)
+from helly_topo.polygon_draws import (
+    random_convex_polygon,
+    random_disjoint_pair,
+    random_stabbed_family,
+)
+from helly_topo.transversal_kernel import (
     _convex_hull,
     _cross,
-    _cyclic_runs,
     _at,
     _interiors_overlap,
-    _narrow,
     _neg,
     _negated_form,
     _pair_masks,
@@ -39,28 +54,28 @@ from helly_topo.transversal_plane import (
     _upper_half,
     _walk_form,
     _walk_zeros,
-    ComponentSummary,
     ConvexPolygon,
-    Panel,
     PolygonFamily,
-    TRANSVERSALS,
-    TransversalProfile,
-    components,
     disjointness_class,
+    polygons_disjoint,
+)
+from helly_topo.transversal_plane import (
+    TRANSVERSALS,
     load_polygon_family,
     parse_polygon_family,
-    polygons_disjoint,
-    random_convex_polygon,
-    random_disjoint_pair,
-    random_stabbed_family,
-    sample_oracle,
     sweep_transversal,
-    transversal_profile,
     verify_theorem_321,
     verify_transversal,
 )
 
-from conftest import random_polygon_family, square, subfamily, sweep_counts, vertices
+from conftest import (
+    lattice_family,
+    random_polygon_family,
+    square,
+    subfamily,
+    sweep_counts,
+    vertices,
+)
 
 
 UNIT_SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -1008,6 +1023,19 @@ def test_subfamily_counts_match_profile_on_random_families():
     assert max(counts) >= 2
 
 
+def test_subfamily_counts_match_profile_on_lattice_families():
+    # lattice members touch and overlap, so the 0- and 2-root branches of
+    # `_pair_masks` run under the differential, not on fixtures alone
+    roots = Counter()
+    for seed in range(300):
+        fam = lattice_family(3 + seed % 3, seed)
+        _assert_kernel_matches_oracle(fam)
+        _, polys = fam._int_data
+        roots.update(len(_own_roots(polys, i, j))
+                     for i, j in itertools.combinations(range(fam.size), 2))
+    assert roots[0] >= 200 and roots[2] >= 90
+
+
 @pytest.mark.parametrize("members, kind, count", [
     ((square(0, 0), square(0.25, 0)), None, 1),  # overlap: full circle
     ((square(0, 0), square(1, 0)), "tangent_direction", 1),
@@ -1070,14 +1098,14 @@ def test_pair_masks_raise_on_a_dropped_zero(monkeypatch, drop):
     ))
     _, polys = fam._int_data
     assert all(len(_own_roots(polys, i, j)) == 4 for i, j in [(0, 1), (0, 2), (1, 2)])
-    walk = transversal_plane._walk_zeros
+    walk = transversal_kernel._walk_zeros
 
     def mutant(f_form, g_form, sign):
         zeros = walk(f_form, g_form, sign)
         del zeros[drop]
         return zeros
 
-    monkeypatch.setattr(transversal_plane, "_walk_zeros", mutant)
+    monkeypatch.setattr(transversal_kernel, "_walk_zeros", mutant)
     with pytest.raises(InvariantViolation, match="2 roots"):
         _pair_masks(fam)
 
@@ -1143,14 +1171,14 @@ def test_pair_masks_raise_on_non_adjacent_zeros(monkeypatch, extra):
     # the walk returns Z = {z, z'}; adding -z keeps the 4 roots but puts
     # two antipodal, so non-adjacent, roots in Z
     fam = random_stabbed_family(6, 0, jitter=0.4)
-    walk = transversal_plane._walk_zeros
+    walk = transversal_kernel._walk_zeros
 
     def mutant(f_form, g_form, sign):
         zeros = walk(f_form, g_form, sign)
         added = zeros[:1] if extra == "antipode" else sorted(set(zeros))
         return zeros + [(-x, -y) for x, y in added]
 
-    monkeypatch.setattr(transversal_plane, "_walk_zeros", mutant)
+    monkeypatch.setattr(transversal_kernel, "_walk_zeros", mutant)
     zeros = 3 if extra == "antipode" else 4
     with pytest.raises(InvariantViolation, match=f"4 roots but {zeros} zeros"):
         _pair_masks(fam)
@@ -1158,7 +1186,7 @@ def test_pair_masks_raise_on_non_adjacent_zeros(monkeypatch, extra):
 
 def test_pair_masks_raise_on_six_roots(monkeypatch):
     # three zeros in the upper half make six roots in the cut
-    monkeypatch.setattr(transversal_plane, "_walk_zeros",
+    monkeypatch.setattr(transversal_kernel, "_walk_zeros",
                         lambda f_form, g_form, sign: [(1, 0), (0, 1), (1, 1)])
     fam = PolygonFamily((square(0, 0), square(10, 0)))
     with pytest.raises(InvariantViolation, match="has 6 roots, not 0, 2 or 4"):
@@ -1269,14 +1297,14 @@ def test_triple_audit_fires_on_a_full_disjoint_pair(monkeypatch):
     assert disjointness_class(fam) == "semipairwise_disjoint"
     verify_theorem_321(fam)
 
-    kernel = transversal_plane._pair_masks
+    kernel = transversal_kernel._pair_masks
 
     def mutant(family):
         full, masks = kernel(family)
         assert masks[(1, 2)] != full
         return full, {**masks, (1, 2): full}
 
-    monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
+    monkeypatch.setattr(transversal_kernel, "_pair_masks", mutant)
     # a fresh family: ``fam`` already holds the unpatched kernel
     with pytest.raises(InvariantViolation, match=r"pair \[1, 2\] has the full circle"):
         verify_theorem_321(PolygonFamily(fam.members))
@@ -1286,13 +1314,13 @@ def test_pair_check_fires_on_a_lone_full_disjoint_pair(monkeypatch):
     # one full pair makes no full triangle: without the pair check this
     # family reads as pairwise disjoint with its hypotheses holding
     fam = random_stabbed_family(6, 3, 0.3)
-    kernel = transversal_plane._pair_masks
+    kernel = transversal_kernel._pair_masks
 
     def mutant(family):
         full, masks = kernel(family)
         return full, {**masks, (0, 1): full}
 
-    monkeypatch.setattr(transversal_plane, "_pair_masks", mutant)
+    monkeypatch.setattr(transversal_kernel, "_pair_masks", mutant)
     with pytest.raises(InvariantViolation, match=r"pair \[0, 1\] has the full circle"):
         verify_theorem_321(fam)
 
@@ -1339,22 +1367,40 @@ def _reference_disjointness_class(fam) -> str:
     return "semipairwise_disjoint"
 
 
+def _assert_class_matches_reference(fam):
+    """The family's class and its thm-321 verdict's against the every-pair
+    reference; returns the verdict."""
+    expected = _reference_disjointness_class(fam)
+    assert disjointness_class(fam) == expected
+    verdict = verify_theorem_321(fam)
+    assert verdict.disjointness == expected
+    return verdict
+
+
 def test_disjointness_class_matches_the_every_pair_reference():
     classes = set()
     for disjointness in (None, "pairwise_disjoint", "semipairwise_disjoint"):
         for seed in range(8):
             fam = random_polygon_family(6, box=(-3, 3, -3, 3), disjointness=disjointness,
                                         seed=seed)
-            expected = _reference_disjointness_class(fam)
-            assert disjointness_class(fam) == expected
-            assert verify_theorem_321(fam).disjointness == expected
-            classes.add(expected)
+            classes.add(_assert_class_matches_reference(fam).disjointness)
     assert classes == {"pairwise_disjoint", "semipairwise_disjoint", "neither"}
+    # lattice families hold thm-321's hypotheses in the semipairwise case,
+    # which no sweep draws
+    classes, held = Counter(), Counter()
+    for seed in range(300):
+        verdict = _assert_class_matches_reference(lattice_family(6, seed))
+        classes[verdict.disjointness] += 1
+        if verdict.hypotheses_hold:
+            assert verdict.conclusion_holds, seed
+            held[verdict.disjointness] += 1
+    assert classes["semipairwise_disjoint"] >= 200 and held["semipairwise_disjoint"] >= 95
+    assert sum(held.values()) >= 105
 
 
 def test_verify_runs_the_separating_axis_test_only_on_full_pairs(monkeypatch):
     calls = []
-    overlap = transversal_plane._interiors_overlap
+    overlap = transversal_kernel._interiors_overlap
 
     def counted(verts_a, verts_b):
         calls.append((verts_a, verts_b))
@@ -1362,7 +1408,7 @@ def test_verify_runs_the_separating_axis_test_only_on_full_pairs(monkeypatch):
 
     # the draw runs the test itself, to place its members
     disjoint = random_stabbed_family(6, 3, jitter=0.4)
-    monkeypatch.setattr(transversal_plane, "_interiors_overlap", counted)
+    monkeypatch.setattr(transversal_kernel, "_interiors_overlap", counted)
     assert verify_theorem_321(disjoint).disjointness == "pairwise_disjoint"
     assert calls == []
 
@@ -1374,13 +1420,13 @@ def test_verify_runs_the_separating_axis_test_only_on_full_pairs(monkeypatch):
 
 def test_verify_builds_the_kernel_once_per_family(monkeypatch):
     built = []
-    kernel = transversal_plane._pair_masks
+    kernel = transversal_kernel._pair_masks
 
     def counted(family):
         built.append(family)
         return kernel(family)
 
-    monkeypatch.setattr(transversal_plane, "_pair_masks", counted)
+    monkeypatch.setattr(transversal_kernel, "_pair_masks", counted)
     fam = PolygonFamily(SEMIPAIRWISE_FAMILY)
     verdict = verify_theorem_321(fam)
     verdict.to_dict()
@@ -1417,7 +1463,11 @@ def test_thm321_sweep_builds_no_profile(monkeypatch):
     def no_profile(family):
         raise AssertionError("the sweep built an envelope profile")
 
-    monkeypatch.setattr(transversal_plane, "transversal_profile", no_profile)
+    # in every package module that binds it, so that no caller reaches it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("helly_topo") and \
+                getattr(module, "transversal_profile", None) is transversal_profile:
+            monkeypatch.setattr(module, "transversal_profile", no_profile)
     rep = sweep_transversal("thm-321", 6, seed=4, m=6)
     assert rep.trials == 6 and rep.conclusion_violated == 0
 
@@ -1539,9 +1589,9 @@ def test_pairs_of_keeps_every_subset_of_an_m11_verify():
     # that evicts them all before the next verify asks again
     fam = random_stabbed_family(11, 0, jitter=0.3)
     verify_theorem_321(fam)
-    misses = transversal_plane._pairs_of.cache_info().misses
+    misses = transversal_kernel._pairs_of.cache_info().misses
     verify_theorem_321(fam)
-    assert transversal_plane._pairs_of.cache_info().misses == misses
+    assert transversal_kernel._pairs_of.cache_info().misses == misses
 
 
 # --- generators ------------------------------------------------------------
@@ -1722,13 +1772,13 @@ def test_random_stabbed_family_matches_the_uniform_reference(m, seed, jitter):
 
 
 def test_random_disjoint_pair_gives_up_when_no_draw_is_disjoint(monkeypatch):
-    monkeypatch.setattr(transversal_plane, "polygons_disjoint", lambda a, b: False)
+    monkeypatch.setattr(polygon_draws, "polygons_disjoint", lambda a, b: False)
     with pytest.raises(GenerationFailure, match="could not place a disjoint pair"):
         random_disjoint_pair(1)
 
 
 def test_random_stabbed_family_gives_up_when_no_placement_is_ok(monkeypatch):
-    monkeypatch.setattr(transversal_plane, "_placement_ok", lambda candidate, existing: False)
+    monkeypatch.setattr(polygon_draws, "_placement_ok", lambda candidate, existing: False)
     with pytest.raises(GenerationFailure, match="could not place member 1 "):
         random_stabbed_family(6, 1, 0.3)
 
