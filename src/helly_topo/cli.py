@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .complex_core import load_family
@@ -42,14 +41,16 @@ EXIT_VALIDATION = 3
 
 THEOREM_TAGS = sorted([*engine.THEOREMS, *tp.TRANSVERSALS])
 
-# (dest, flag, default) of the options that only some rows read; the parser
-# leaves them None, so that one given to a row that ignores it is an error
+# (dest, flag, keyword) of the options a row may read; the parser leaves
+# them None, so that one left out takes the library's default and one given
+# to a row that ignores it is an error
 ROW_OPTIONS = (
-    ("field", "--field", "gf2"),
-    ("grid", "--grid", 12),
-    ("growth", "--growth", 40),
-    ("d", "--d", 2),
-    ("lam", "--lambda", 0),
+    ("field", "--field", "field"),
+    ("grid", "--grid", "grid_n"),
+    ("m", "--m", "m"),
+    ("growth", "--growth", "growth_steps"),
+    ("d", "--d", "d"),
+    ("lam", "--lambda", "lam"),
 )
 
 
@@ -149,35 +150,38 @@ def _cmd_homology(args) -> int:
     return EXIT_OK
 
 
-def _row_options(args, tag) -> None:
-    """Fill in the defaults of ROW_OPTIONS; one that the row ignores but the
-    command line gives is an input error.  An engine row reads the field,
+def _row_options(args, tag) -> dict:
+    """The keyword arguments of the ROW_OPTIONS the command line gives; one
+    that the row ignores is an input error.  An engine row reads the field,
     the generator's grid and growth, and its own parameter; a transversal
-    row reads none of them."""
-    read = set()
+    row reads none of them.  Every sweep judges its own --m."""
+    read = {"m"}
     if tag in engine.THEOREMS:
         param = engine.THEOREMS[tag].param
-        read = {"field", "grid", "growth", "lam" if param == "lambda" else param}
-    for dest, flag, default in ROW_OPTIONS:
-        if not hasattr(args, dest):
+        read |= {"field", "grid", "growth", "lam" if param == "lambda" else param}
+    given = {}
+    for dest, flag, keyword in ROW_OPTIONS:
+        value = getattr(args, dest, None)
+        if value is None:
             continue
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in read:
+        if dest not in read:
             raise ValidationError(f"{flag} does not apply to {tag}")
+        given[keyword] = CoefficientField.from_tag(value) if dest == "field" else value
+    return given
 
 
 def _cmd_verify(args) -> int:
     tag = args.theorem
-    _row_options(args, tag)
-    params = {"in": args.infile, "theorem": tag, "field": args.field}
+    options = _row_options(args, tag)
     if tag in engine.THEOREMS:
-        family = load_family(args.infile)
-        field = CoefficientField.from_tag(args.field)
-        params.update(engine.theorem_params(tag, args.d, args.lam))
-        verdict = engine.run_verifier(tag, family, field, d=args.d, lam=args.lam)
+        verdict = engine.run_verifier(tag, load_family(args.infile), **options)
+        echo = {"field": verdict.field.value, **verdict.ledger.params}
     else:
         verdict = tp.verify_transversal(tag, tp.load_polygon_family(args.infile))
+        # a transversal verdict reads no field, yet its reports have always
+        # echoed the engine's default one, and the CLI corpus goldens pin it
+        echo = {"field": "gf2"}
+    params = {"in": args.infile, "theorem": tag, **echo}
     _emit(_envelope("verify", params, verdict.to_dict()), args.out)
     if not verdict.hypotheses_hold:
         _say(f"{tag}: hypotheses not satisfied")
@@ -191,22 +195,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     tag = args.theorem
-    _row_options(args, tag)
-    sizes = {} if args.m is None else {"m": args.m}
-    if tag in engine.THEOREMS:
-        report = engine.sweep(
-            tag,
-            args.trials,
-            grid_n=args.grid,
-            growth_steps=args.growth,
-            seed=args.seed,
-            field=CoefficientField.from_tag(args.field),
-            d=args.d,
-            lam=args.lam,
-            **sizes,
-        )
-    else:
-        report = tp.sweep_transversal(tag, args.trials, seed=args.seed, **sizes)
+    sweep = engine.sweep if tag in engine.THEOREMS else tp.sweep_transversal
+    report = sweep(tag, args.trials, seed=args.seed, **_row_options(args, tag))
     data = report.to_dict()
     _emit(_envelope("sweep", {"theorem": tag}, data), args.out)
     counts = data["counts"]
@@ -221,33 +211,12 @@ def _cmd_transversal(args) -> int:
     if args.action == "profile" and args.resolution is not None:
         raise ValidationError("--resolution applies to transversal components only")
     family = tp.load_polygon_family(args.infile)
+    profile = transversal_profile(family)
     if args.action == "profile":
-        prof = transversal_profile(family)
-
-        def envelope(member, vertex):
-            # the envelope is a*cos(t) + b*sin(t), with the vertex as (a, b)
-            a, b = (str(Fraction(x, prof.scale)) for x in vertex)
-            return {"member": member, "a": a, "b": b}
-
-        pieces = [
-            {
-                "start_angle": panel.start_angle,
-                "end_angle": panel.end_angle,
-                "upper": envelope(panel.upper_member, panel.upper_vertex),
-                "lower": envelope(panel.lower_member, panel.lower_vertex),
-                "feasible": panel.feasible_sign > 0,
-            }
-            for panel in prof.panels
-        ]
-        result = {
-            "panels": pieces,
-            "breakpoints": list(prof.breakpoints),
-            "identification": "(theta, p) ~ (theta + pi, -p)",
-        }
-        _emit(_envelope("transversal-profile", {"in": args.infile}, result), args.out)
-        _say(f"profile with {len(pieces)} panels")
+        _emit(_envelope("transversal-profile", {"in": args.infile}, profile.to_dict()), args.out)
+        _say(f"profile with {len(profile.panels)} panels")
         return EXIT_OK
-    summary = components(transversal_profile(family))
+    summary = components(profile)
     result = summary.to_dict()
     params = {"in": args.infile}
     if args.resolution is not None:

@@ -90,10 +90,6 @@ class Panel:
     def start_angle(self) -> float:
         return _angle(self.start)
 
-    @property
-    def end_angle(self) -> float:
-        return _angle(self.end)
-
 
 @dataclass(frozen=True)
 class TransversalProfile:
@@ -113,9 +109,26 @@ class TransversalProfile:
     panels: tuple
     boundary_signs: tuple
 
-    @property
-    def breakpoints(self) -> tuple:
-        return tuple(sorted(p.start_angle for p in self.panels))
+    def to_dict(self) -> dict:
+        def envelope(member, vertex):
+            # the envelope is a*cos(t) + b*sin(t), with the vertex as (a, b)
+            a, b = (str(Fraction(x, self.scale)) for x in vertex)
+            return {"member": member, "a": a, "b": b}
+
+        return {
+            "panels": [
+                {
+                    "start_angle": panel.start_angle,
+                    "end_angle": _angle(panel.end),
+                    "upper": envelope(panel.upper_member, panel.upper_vertex),
+                    "lower": envelope(panel.lower_member, panel.lower_vertex),
+                    "feasible": panel.feasible_sign > 0,
+                }
+                for panel in self.panels
+            ],
+            "breakpoints": sorted(panel.start_angle for panel in self.panels),
+            "identification": "(theta, p) ~ (theta + pi, -p)",
+        }
 
 
 def transversal_profile(family: PolygonFamily) -> TransversalProfile:

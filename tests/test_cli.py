@@ -4,11 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from helly_topo import polygon_draws, transversal_plane
+from helly_topo import helly_engine, polygon_draws, transversal_plane
 from helly_topo.cli import THEOREM_TAGS, build_parser, main
+from helly_topo.envelope import transversal_profile
 from helly_topo.errors import GenerationFailure
 from helly_topo.helly_engine import THEOREMS
-from helly_topo.transversal_plane import TRANSVERSALS
+from helly_topo.homology import RATIONALS
+from helly_topo.transversal_plane import TRANSVERSALS, load_polygon_family
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 @pytest.fixture
@@ -299,6 +303,29 @@ def test_transversal_profile(polygon_file, capsys):
     assert report["result"]["identification"] == "(theta, p) ~ (theta + pi, -p)"
 
 
+@pytest.mark.parametrize("name", ["poly1", "poly2", "poly3", "poly6"])
+def test_transversal_profile_prints_the_profile_to_dict(capsys, name):
+    path = str(CORPUS / f"{name}.json")
+    code, out = run(["transversal", "profile", "--in", path], capsys)
+    assert code == 0
+    assert json.loads(out)["result"] == transversal_profile(load_polygon_family(path)).to_dict()
+
+
+def test_left_out_options_take_the_library_defaults(monkeypatch, family_file, capsys):
+    # the CLI passes only the options it is given, so a raised library
+    # default shows up in the report
+    monkeypatch.setitem(helly_engine.sweep.__kwdefaults__, "growth_steps", 7)
+    code, out = run(["sweep", "--theorem", "sigma", "--trials", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["generator"]["growth_steps"] == 7
+    monkeypatch.setattr(helly_engine.run_verifier, "__defaults__", (RATIONALS, 2, 1))
+    code, out = run(["verify", "prop-a", "--in", family_file], capsys)
+    report = json.loads(out)
+    assert code == 0
+    assert report["params"] == {"in": family_file, "theorem": "prop-a", "field": "q", "lambda": 1}
+    assert report["result"]["field"] == "q"
+
+
 def test_out_flag_writes_file(family_file, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out = run(
@@ -476,8 +503,14 @@ def test_polygon_vertices_must_be_coordinate_pairs(tmp_path, capsys, argv, verts
         (["sweep", "--theorem", "breen", "--lambda", "3", "--trials", "1"],
          "--lambda does not apply to breen"),
         (["verify", "lemma-311", "--field", "q"], "--field does not apply to lemma-311"),
+        # sigma has no parameter; prop-a reads --lambda and helly --d only
+        (["verify", "sigma", "--d", "3"], "--d does not apply to sigma"),
+        (["sweep", "--theorem", "prop-a", "--d", "3", "--trials", "1"],
+         "--d does not apply to prop-a"),
+        (["verify", "helly", "--lambda", "1"], "--lambda does not apply to helly"),
     ],
-    ids=["profile-resolution", "lemma-m", "thm-321-sweep", "breen-lambda", "lemma-field"],
+    ids=["profile-resolution", "lemma-m", "thm-321-sweep", "breen-lambda", "lemma-field",
+         "sigma-d", "prop-a-sweep-d", "helly-lambda"],
 )
 def test_options_a_command_ignores_exit_three(polygon_file, capsys, argv, message):
     if argv[0] in ("transversal", "verify"):
