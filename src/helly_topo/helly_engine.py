@@ -237,23 +237,27 @@ def run_verifier(theorem: str, family: SubcomplexFamily, field: CoefficientField
 @lru_cache(maxsize=8)
 def _grid_setup(n):
     """The grid ambient, its triangles' closure masks in sorted-triangle
-    order, and each triangle's edge neighbours as sorted positions in it."""
+    order, and each triangle's neighbour row: its edge neighbours as sorted
+    positions in that order, padded to three with the sentinel position
+    len(closures), which is no triangle's."""
     ambient = grid_complex(n)
     index = ambient._index
     first = index.n_vertices + len(index.edges)  # vertex, edge, then triangle bits
     tris = index.order[first:]
+    sentinel = len(tris)
     edge_to_tris = {}
     for i, t in enumerate(tris):
         for e in itertools.combinations(t, 2):
             edge_to_tris.setdefault(e, []).append(i)
-    adjacency = []
+    neighbours = []
     for i, t in enumerate(tris):
         nbs = set()
         for e in itertools.combinations(t, 2):
             nbs.update(edge_to_tris[e])
         nbs.discard(i)
-        adjacency.append(sorted(nbs))
-    return ambient, index.closures[first:], adjacency
+        row = sorted(nbs)
+        neighbours.append(tuple(row + [sentinel] * (3 - len(row))))
+    return ambient, index.closures[first:], neighbours
 
 
 def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> SubcomplexFamily:
@@ -270,7 +274,7 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
         raise ContractViolation("m must be >= 1")
     if growth_steps < 0:
         raise ContractViolation("growth_steps must be >= 0")
-    ambient, closures, adjacency = _grid_setup(grid_n)
+    ambient, closures, neighbours = _grid_setup(grid_n)
     rng = random.Random(f"random-family:{grid_n}:{m}:{growth_steps}:{seed}")
     vertices = ambient._index.dim_masks[0]
     members = []
@@ -280,9 +284,15 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
     # start triangle's included, is randrange(n)'s own rejection loop over
     # getrandbits(n.bit_length()), the draw rng.choice makes, inlined to
     # skip its argument handling: it consumes the same bits and returns the
-    # same integer.  test_random_family_draws_are_pinned pins the draws, and
-    # test_random_family_matches_the_randrange_reference checks them against
-    # a randrange copy of this loop.
+    # same integer.  Each neighbour row has exactly three entries, padded
+    # with the sentinel position n_tris, and `seen` is a flat list over the
+    # positions and the sentinel, which is marked from the start and so
+    # never enters the frontier: a step checks its row's three entries
+    # unrolled, with no loop and no test for padding.
+    # The draws are pinned by digest on Python 3.10-3.13
+    # (test_random_family_draws_are_pinned) and checked against a randrange
+    # copy of this loop over an adjacency the test builds from the ambient
+    # (test_random_family_matches_the_randrange_reference).
     getrandbits = rng.getrandbits
     insort = bisect.insort
     n_tris = len(closures)
@@ -292,10 +302,15 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
         while start >= n_tris:
             start = getrandbits(k_tris)
         mask = closures[start]
-        frontier = list(adjacency[start])
+        seen = [False] * n_tris
+        seen.append(True)  # the sentinel
+        seen[start] = True
+        frontier = []
+        for nb in neighbours[start]:  # sorted, so appending keeps it sorted
+            if not seen[nb]:
+                seen[nb] = True
+                frontier.append(nb)
         pop = frontier.pop
-        seen = {start, *frontier}
-        add = seen.add
         for _ in range(growth_steps):
             n = len(frontier)
             if not n:
@@ -306,10 +321,16 @@ def random_family(grid_n: int, m: int, growth_steps: int, seed: int) -> Subcompl
                 r = getrandbits(k)
             tri = pop(r)
             mask |= closures[tri]
-            for nb in adjacency[tri]:
-                if nb not in seen:
-                    add(nb)
-                    insort(frontier, nb)
+            a, b, c = neighbours[tri]
+            if not seen[a]:
+                seen[a] = True
+                insort(frontier, a)
+            if not seen[b]:
+                seen[b] = True
+                insort(frontier, b)
+            if not seen[c]:
+                seen[c] = True
+                insort(frontier, c)
         members.append(Subcomplex._from_mask(ambient, mask, (mask & vertices,)))
     labels = tuple(f"A{i + 1}" for i in range(m))
     return SubcomplexFamily(ambient, tuple(members), labels)

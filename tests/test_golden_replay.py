@@ -4,8 +4,9 @@ Replays the CLI argv corpus and the first trials of every benchmark
 workload at the primary and holdout seeds, and compares them with the
 digests and outputs recorded under ``perfbench/golden``. Then runs each
 command of ``PINNED_REPORTS`` in-process and compares the SHA-256 of its
-stdout with the row's digest.  Last, runs short transversal sweeps under
-the benchmark's tracer and pins how many calls each span records.
+stdout with the row's digest.  Last, runs short sweeps under the
+benchmark's tracer: a transversal sweep pins how many calls each span
+records, an engine sweep how many its generator and verifier spans do.
 """
 
 import os
@@ -19,7 +20,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import gate  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
-from helly_topo import transversal_plane  # noqa: E402
+from helly_topo import helly_engine, transversal_plane  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -119,3 +120,21 @@ def test_traced_transversal_sweeps_pin_every_span_call(theorem, trials, m, calls
     assert traced == plain
     assert {name: n for name, n in t.counts.items() if name.endswith(".calls")} == {
         f"transversal_plane.{span}.calls": n for span, n in calls.items()}
+
+
+# (theorem, trials): short engine sweeps at seed 3.  Each trial is one
+# generator and one verifier call, so the generator's self time stays
+# readable; the ∩/∪ and Betti counts below them are left unpinned.
+TRACED_ENGINE_SWEEPS = [("helly", 5), ("breen", 5)]
+
+
+@pytest.mark.parametrize("theorem, trials", TRACED_ENGINE_SWEEPS,
+                         ids=[row[0] for row in TRACED_ENGINE_SWEEPS])
+def test_traced_engine_sweeps_pin_generate_and_verify_calls(theorem, trials):
+    plain = helly_engine.sweep(theorem, trials, seed=3).to_dict()
+    t = tracer.Tracer()
+    with t:
+        traced = helly_engine.sweep(theorem, trials, seed=3).to_dict()
+    assert traced == plain
+    assert (t.counts["helly_engine.generate.calls"], t.counts["helly_engine.verify.calls"]) \
+        == (trials, trials)

@@ -490,10 +490,50 @@ def test_random_family_draws_are_pinned():
     assert digest.hexdigest() == RANDOM_FAMILY_DRAWS_SHA256
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_triangles(n):
+    """grid_complex(n)'s triangles in sorted order: each one's closure mask
+    and its edge neighbours as sorted positions, found by shared edges."""
+    ambient = grid_complex(n)
+    bit = ambient._index.bit
+    tris = sorted(s for s in ambient.simplices if len(s) == 3)
+    closures = [
+        functools.reduce(operator.or_, (1 << bit[face] for k in (1, 2, 3)
+                                        for face in itertools.combinations(t, k)))
+        for t in tris
+    ]
+    edges = [set(itertools.combinations(t, 2)) for t in tris]
+    adjacency = [
+        [j for j, other in enumerate(edges) if j != i and own & other]
+        for i, own in enumerate(edges)
+    ]
+    return closures, adjacency
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_grid_setup_rows_are_padded_edge_neighbours(n):
+    _, closures, neighbours = _grid_setup(n)
+    expected_closures, adjacency = _grid_triangles(n)
+    sentinel = len(adjacency)
+    assert list(closures) == expected_closures
+    assert len(neighbours) == sentinel
+    for i, row in enumerate(neighbours):
+        # real positions ascend and lie below the sentinel, so this row is
+        # sorted and the sentinel is never a real position
+        real = adjacency[i]
+        assert len(row) == 3
+        assert list(row) == real + [sentinel] * (3 - len(real))
+        assert all(i in neighbours[j] for j in real)  # the relation is symmetric
+    if n == 1:  # two triangles, one neighbour each: doubly padded
+        assert neighbours == [(1, 2, 2), (0, 2, 2)]
+
+
 def _reference_random_family(grid_n, m, growth_steps, seed):
     """random_family's growth loop with each frontier index drawn by
-    rng.randrange: the (parts, mask) pair of every member."""
-    ambient, closures, adjacency = _grid_setup(grid_n)
+    rng.randrange, over the adjacency _grid_triangles builds from the
+    ambient: the (parts, mask) pair of every member."""
+    ambient = grid_complex(grid_n)
+    closures, adjacency = _grid_triangles(grid_n)
     rng = random.Random(f"random-family:{grid_n}:{m}:{growth_steps}:{seed}")
     vertices = ambient._index.dim_masks[0]
     members = []
@@ -525,6 +565,10 @@ def _reference_random_family(grid_n, m, growth_steps, seed):
 )
 @example(grid_n=2, m=3, growth_steps=250, seed=0)  # the 8 triangles run out
 @example(grid_n=12, m=5, growth_steps=250, seed=1)  # frontiers cross 8, 16 and 32
+# the benchmark's three generator settings (breen, prop-a, helly)
+@example(grid_n=12, m=4, growth_steps=120, seed=1_000_000)
+@example(grid_n=12, m=2, growth_steps=40, seed=1_000_000)
+@example(grid_n=12, m=5, growth_steps=12, seed=1_000_000)
 def test_random_family_matches_the_randrange_reference(grid_n, m, growth_steps, seed):
     family = random_family(grid_n, m, growth_steps, seed)
     assert [(member.parts, member.mask) for member in family.members] == \
