@@ -145,10 +145,9 @@ def transversal_profile(family: PolygonFamily) -> TransversalProfile:
     scale, polys = family._int_data
     forms = [_walk_form(verts) for verts in polys]
 
-    events = set()
-    for _, _, normals in forms:
-        events.update(normals)
-        events.update(_neg(d) for d in normals)
+    # every outward edge normal and its negation
+    events = {_primitive(ey, -ex) for _, edges in forms for ex, ey in edges}
+    events |= {_neg(d) for d in events}
     crossings = set()
     for form_a, form_b in itertools.combinations(forms, 2):
         crossings.update(_walk_zeros(form_a, form_b, -1))

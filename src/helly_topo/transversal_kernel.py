@@ -141,17 +141,19 @@ class ConvexPolygon:
         return self
 
     def _set_lattice(self, points: tuple, scale: int):
-        n = len(points)
-        if n < 3:
+        if len(points) < 3:
             raise ValidationError("a polygon needs at least 3 vertices")
-        # a common positive scale keeps the signs of the rational turns
-        triples = zip(points, points[1:] + points[:1], points[2:] + points[:2])
-        for i, ((ax, ay), (bx, by), (cx, cy)) in enumerate(triples):
-            if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) <= 0:
+        # a common positive scale keeps the turns' signs; vertex k turns e to f
+        (ax, ay), (bx, by) = points[-1], points[0]
+        ex, ey = bx - ax, by - ay
+        for k, (cx, cy) in enumerate(points[1:] + points[:1], 1):
+            fx, fy = cx - bx, cy - by
+            if ex * fy - ey * fx <= 0:
                 raise ValidationError(
                     "vertices must be strictly convex in counterclockwise order "
-                    f"(violated at vertex {i + 1})"
+                    f"(violated at vertex {k})"
                 )
+            ex, ey, bx, by = fx, fy, cx, cy
         g = gcd(scale, *itertools.chain.from_iterable(points))
         if g > 1:
             points, scale = tuple((x // g, y // g) for x, y in points), scale // g
@@ -202,47 +204,35 @@ class PolygonFamily:
 
 
 def _convex_hull(points):
-    """Strictly convex hull, CCW; collinear points are dropped."""
+    """Strictly convex hull, CCW from the least point; collinear points are dropped."""
     pts = sorted(set(points))
     if len(pts) < 3:
         return pts
-
-    def build(seq):
-        hull = []
-        for p in seq:
-            while len(hull) >= 2:
-                o, a = hull[-2], hull[-1]
-                turn = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-                if turn <= 0:
-                    hull.pop()
-                else:
+    hull, floor = [], 2
+    for chain in (pts, pts[-2::-1]):
+        for p in chain:
+            px, py = p
+            while len(hull) >= floor:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
                     break
+                hull.pop()
             hull.append(p)
-        return hull
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return lower[:-1] + upper[:-1]
+        floor = len(hull) + 1
+    hull.pop()  # the upper chain ends at the first point
+    return hull
 
 
 def _walk_form(verts) -> tuple:
     """A polygon as the merge walk reads it: the vertices from the lowest
     (then leftmost) one on, so that the edge directions turn through one
-    full circle from angle 0, each edge vector, and each edge's primitive
-    outward normal.  Vertex k supports every direction in the closed arc
-    from normal k - 1 to normal k."""
+    full circle from angle 0, and each edge vector.  Edge k's outward
+    normal is (ey, -ex); vertex k supports every direction in the closed
+    arc from normal k - 1 to normal k."""
     keys = [(y, x) for x, y in verts]
     start = keys.index(min(keys))
     verts = verts[start:] + verts[:start]
-    edges, normals = [], []
-    vx, vy = verts[0]
-    for wx, wy in verts[1:] + verts[:1]:
-        ex, ey = wx - vx, wy - vy
-        g = gcd(ex, ey)
-        edges.append((ex, ey))
-        normals.append((ey // g, -ex // g))
-        vx, vy = wx, wy
-    return verts, edges, normals
+    return verts, [(wx - vx, wy - vy) for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1])]
 
 
 def _negated_form(form) -> tuple:
@@ -251,7 +241,7 @@ def _negated_form(form) -> tuple:
     at the negation of P's first edge whose angle is at least pi; that
     edge leaves P's highest (then rightmost) vertex, whose negation is the
     lowest (then leftmost) vertex of -P."""
-    verts, edges, normals = form
+    verts, edges = form
     k = 0
     for ex, ey in edges:
         if ey < 0 or (ey == 0 and ex < 0):
@@ -260,7 +250,6 @@ def _negated_form(form) -> tuple:
     return (
         tuple([(-x, -y) for x, y in verts[k:] + verts[:k]]),
         [(-x, -y) for x, y in edges[k:] + edges[:k]],
-        [(-x, -y) for x, y in normals[k:] + normals[:k]],
     )
 
 
@@ -278,15 +267,16 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
     The supporting vertices of both arcs that meet at q support q, so x.q
     is also the next arc's value at its p: one dot product per arc.  Past
     q the walk advances f, g or both along the edges whose normal q is, so
-    x moves by f's edge, by sign times g's, or by both.
+    x moves by f's edge, by sign times g's, or by both.  Normals are edges
+    turned by -pi/2; signs need no gcd, so only reported zeros take one.
     """
     out = []
-    fv, fe, fn = f_form
-    gv, ge, gn = g_form
+    fv, fe = f_form
+    gv, ge = g_form
     nf, ng = len(fe), len(ge)
     # the first arc opens at the later of the two last normals
     (ax, ay), (bx, by) = fe[-1], ge[-1]
-    px, py = gn[-1] if ax * by - ay * bx >= 0 else fn[-1]
+    px, py = (by, -bx) if ax * by - ay * bx >= 0 else (ay, -ax)
     (fx, fy), (gx, gy) = fv[0], gv[0]
     xx, xy = fx + sign * gx, fy + sign * gy
     at_p = xx * px + xy * py
@@ -301,12 +291,15 @@ def _walk_zeros(f_form, g_form, sign: int) -> list:
         else:
             (ax, ay), (bx, by) = fe[i], ge[j]
             turn = ax * by - ay * bx
-        qx, qy = fn[i] if turn >= 0 else gn[j]
+        if turn >= 0:
+            qx, qy = ay, -ax
+        else:
+            qx, qy = by, -bx
         at_q = xx * qx + xy * qy
         if at_p == 0:
-            out.append((px, py))
+            out.append(_primitive(px, py))
             if xx == 0 and xy == 0:
-                out.append((qx, qy))
+                out.append(_primitive(qx, qy))
         elif at_q != 0 and (at_p > 0) != (at_q > 0):
             # perp(x) / gcd, turned to the side of p it lies past
             g = gcd(xx, xy)

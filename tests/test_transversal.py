@@ -166,16 +166,30 @@ def test_polygon_family_rejects_bad_labels(labels, message):
     assert str(exc.value) == message
 
 
+DENTED_SQUARE = [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("verts, vertex", [
+    (DENTED_SQUARE, 3),
+    (DENTED_SQUARE[2:] + DENTED_SQUARE[:2], 1),
+    ([(0, 0), (0, 1), (1, 1), (1, 0)], 1),
+], ids=["dented", "dent-first", "clockwise"])
+def test_polygon_check_names_the_first_vertex_that_does_not_turn_left(verts, vertex):
+    with pytest.raises(ValidationError, match=rf"\(violated at vertex {vertex}\)$"):
+        ConvexPolygon(verts)
+
+
 def _fraction_turn_error(vertices):
     """The polygon check in Fraction arithmetic: the error text a vertex
     cycle must be rejected with, or None if it is strictly convex and
-    counterclockwise."""
+    counterclockwise.  The error names the lowest 1-based k whose turn
+    (k - 1, k, k + 1), read cyclically, is not a strict left turn."""
     verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
     n = len(verts)
     if n < 3:
         return "a polygon needs at least 3 vertices"
     for i in range(n):
-        a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
+        a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
         if (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) <= 0:
             return (
                 "vertices must be strictly convex in counterclockwise order "
@@ -217,6 +231,11 @@ def _lattice_points(verts, factor=1):
 @given(_vertex_cycles(), st.integers(1, 12))
 # points (0, 0), (6, 0), (0, 6) over 12 reduce to (0, 0), (1, 0), (0, 1) over 2
 @example([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))], 6)
+# a square dented at vertex 3, the same cycle opening at the dent, and a
+# clockwise square: the error names the reflex vertex, 3, 1 and 1
+@example(DENTED_SQUARE, 1)
+@example(DENTED_SQUARE[2:] + DENTED_SQUARE[:2], 1)
+@example([(0, 0), (0, 1), (1, 1), (1, 0)], 1)
 def test_polygon_check_matches_fraction_turns(verts, factor):
     expected = _fraction_turn_error(verts)
     # parsed rationals, and the same cycle handed to the lattice
@@ -597,6 +616,64 @@ def _interiors_overlap_reference(verts_a, verts_b) -> bool:
     return True
 
 
+def _reference_convex_hull(points):
+    """`_convex_hull` as two chains: Andrew's lower and upper chains built
+    apart and joined, each without its last point."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def build(seq):
+        hull = []
+        for p in seq:
+            while len(hull) >= 2:
+                o, a = hull[-2], hull[-1]
+                turn = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+                if turn <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        return hull
+
+    lower = build(pts)
+    upper = build(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def _hull_point_sets():
+    """Seeded point sets: in 3x3 and 5x5 boxes, with duplicates, collinear
+    runs and fewer than 3 distinct points, and near a circle on the draws'
+    1/10**4 lattice."""
+    rng = random.Random("hull-point-sets")
+    for box in (3, 5):
+        for _ in range(3000):
+            yield [(rng.randrange(box), rng.randrange(box)) for _ in range(rng.randint(1, 9))]
+    for _ in range(3000):
+        cx, cy, radius = rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(0.01, 1.0)
+        points = []
+        for _ in range(rng.randint(1, 16)):
+            ang, rr = rng.uniform(0.0, math.tau), radius * rng.uniform(0.72, 1.0)
+            points.append((round((cx + rr * math.cos(ang)) * 10 ** 4),
+                           round((cy + rr * math.sin(ang)) * 10 ** 4)))
+        yield points
+
+
+def test_convex_hull_matches_the_two_chain_reference():
+    sizes = Counter()
+    for points in _hull_point_sets():
+        hull = _convex_hull(points)
+        assert hull == _reference_convex_hull(points), points
+        sizes[min(len(hull), 3)] += 1
+        if len(hull) >= 3:
+            # a strictly convex CCW cycle of the points, from the least one
+            assert hull[0] == min(points) and set(hull) <= set(points)
+            for a, b, c in zip(hull, hull[1:] + hull[:1], hull[2:] + hull[:2]):
+                assert (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0
+    # 1, 2 and at least 3 hull points all come up, many times each
+    assert min(sizes.values()) > 100 and len(sizes) == 3
+
+
 @functools.cache
 def _lattice_hulls() -> list:
     """Hulls of point sets on a 5x5 lattice: they meet at corners, share
@@ -682,11 +759,23 @@ def _assert_walk_matches_reference(a, b):
     neg_b = tuple((-x, -y) for x, y in b)
     for g, sign in ((b, -1), (neg_b, 1), (b, 1), (neg_b, -1)):
         expected = _reference_walk_zeros(_reference_walk_form(a), _reference_walk_form(g), sign)
-        assert _walk_zeros(_walk_form(a), _walk_form(g), sign) == expected, (a, g, sign)
+        zeros = _walk_zeros(_walk_form(a), _walk_form(g), sign)
+        assert zeros == expected, (a, g, sign)
+        assert all(math.gcd(*d) == 1 for d in zeros), (a, g, sign)
 
 
 def test_walk_matches_reference_on_lattice_pairs():
     for a, b in itertools.product(_lattice_hulls(), repeat=2):
+        _assert_walk_matches_reference(a, b)
+
+
+@pytest.mark.parametrize("factor", [10 ** 4, 6])
+def test_walk_matches_reference_on_scaled_lattice_pairs(factor):
+    # no edge vector of a scaled hull is primitive, so neither is any
+    # normal the walk reads off an edge: each zero it reports, at an arc's
+    # start or across an arc, must be divided by its gcd
+    hulls = [tuple((x * factor, y * factor) for x, y in verts) for verts in _lattice_hulls()]
+    for a, b in itertools.product(hulls, repeat=2):
         _assert_walk_matches_reference(a, b)
 
 
