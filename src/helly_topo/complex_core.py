@@ -120,7 +120,9 @@ class SimplicialComplex:
     that read it.
 
     Every simplex must be in ``as_simplex`` normal form and the set must be
-    face-closed; construction checks both and builds ``_index``.
+    face-closed; construction checks both and builds ``_index``, and gives
+    the complex an empty ``_top_injective`` dict, homology's memo of
+    whether its top boundary map is injective over each field.
     """
 
     simplices: frozenset
@@ -140,7 +142,7 @@ class SimplicialComplex:
             index = _Index(self.simplices)
         except KeyError:
             raise MalformedInput("complex is not closed under taking faces") from None
-        self.__dict__["_index"] = index
+        self.__dict__.update(_index=index, _top_injective={})
         if self.dimension > self.declared_embedding_dim:
             raise ContractViolation(
                 f"complex dimension {self.dimension} exceeds declared embedding "
@@ -190,12 +192,20 @@ class Subcomplex:
             raise ValidationError("subcomplex is not closed under taking faces")
         self.__dict__.update(parent=parent, mask=mask, member_simplices=members)
 
-    @classmethod
-    def _from_mask(cls, parent: SimplicialComplex, mask: int, parts=None) -> "Subcomplex":
+    @staticmethod
+    def _from_mask(parent: SimplicialComplex, mask: int, parts=None) -> "Subcomplex":
         """A subcomplex from a mask over ``parent``'s index that the caller
-        guarantees is face-closed, with the caller's exact ``parts`` if known."""
-        self = object.__new__(cls)
-        self.__dict__.update(parent=parent, mask=mask, parts=parts)
+        guarantees is face-closed, with the caller's exact ``parts`` if known.
+
+        The one constructor of derived subcomplexes (``_meet``, ``_join``
+        and the generator's members): it fills the new instance's
+        ``__dict__`` item by item, with no kwargs dict and no class
+        argument, since each ledger entry may build one."""
+        self = object.__new__(Subcomplex)
+        fields = self.__dict__
+        fields["parent"] = parent
+        fields["mask"] = mask
+        fields["parts"] = parts
         return self
 
     @functools.cached_property

@@ -44,9 +44,14 @@ class LedgerEntry:
     status: str  # "pass" | "fail" | "vacuous"
 
     def __init__(self, indices, kind, degree, observed, status):
-        # one dict update instead of five frozen-dataclass setattr calls
-        self.__dict__.update(indices=indices, kind=kind, degree=degree,
-                             observed=observed, status=status)
+        # five dict stores instead of five frozen-dataclass setattr calls,
+        # with no kwargs dict either
+        fields = self.__dict__
+        fields["indices"] = indices
+        fields["kind"] = kind
+        fields["degree"] = degree
+        fields["observed"] = observed
+        fields["status"] = status
 
     @property
     def j(self) -> int:
@@ -164,22 +169,38 @@ def theorem_params(tag: str, d: int, lam: int) -> dict:
     return {param: lam if param == "lambda" else d}
 
 
+@lru_cache(maxsize=64)
+def _ledger_plan(hypotheses: tuple, m: int, p: int, dim: int) -> tuple:
+    """The hypothesis blocks of a THEOREMS row for a family of m members,
+    one (kind, degree, vacuous, subfamilies) tuple per block size j in
+    block order, the subfamilies being every size-j index tuple.  They
+    depend only on the row's hypotheses and (m, p, dim), so each is built
+    once."""
+    return tuple(
+        (kind, degree, degree < -1 or degree > dim, tuple(itertools.combinations(range(m), j)))
+        for kind, sizes, degree_of in hypotheses
+        for j in sizes(m, p)
+        for degree in (degree_of(m, j, p),)
+    )
+
+
 def _ledger(row: Theorem, m: int, p: int, dim: int, betti) -> tuple:
     """The hypothesis entries of ``row`` for a family of m members, one per
     (subfamily, degree) pair in block order.  ``betti(kind, indices,
-    degree)`` is the Betti number of the members' intersection or union."""
+    degree)`` is the Betti number of the members' intersection or union.
+    The blocks' subfamilies and degrees come from `_ledger_plan`, built
+    once per (row's hypotheses, m, p, dim)."""
     entries = []
-    for kind, sizes, degree_of in row.hypotheses:
-        for j in sizes(m, p):
-            degree = degree_of(m, j, p)
-            vacuous = degree < -1 or degree > dim
-            for combo in itertools.combinations(range(m), j):
-                if vacuous:
-                    entries.append(LedgerEntry(combo, kind, degree, None, "vacuous"))
-                else:
-                    observed = betti(kind, combo, degree)
-                    status = "pass" if observed == 0 else "fail"
-                    entries.append(LedgerEntry(combo, kind, degree, observed, status))
+    append = entries.append
+    for kind, degree, vacuous, combos in _ledger_plan(row.hypotheses, m, p, dim):
+        if vacuous:
+            for combo in combos:
+                append(LedgerEntry(combo, kind, degree, None, "vacuous"))
+        else:
+            for combo in combos:
+                observed = betti(kind, combo, degree)
+                append(LedgerEntry(combo, kind, degree, observed,
+                                   "pass" if observed == 0 else "fail"))
     return tuple(entries)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .complex_core import Subcomplex, _select
 from .errors import ContractViolation, InvariantViolation
@@ -176,17 +175,22 @@ def _indexed(cx):
 def betti_number(cx, k: int, field: CoefficientField = GF2) -> int:
     """Single reduced Betti number, with the degree -1 emptiness convention.
 
-    Cheaper than the full vector: degree -1 is an emptiness test, degree 0
-    a component count, and b_k = n_k - rank d_k - rank d_{k+1} takes each
-    rank from `_rank` without elimination where linear algebra fixes it.
-    Counts and edges come from the bitmask over the ambient's index.
+    Cheaper than the full vector: a subcomplex's parent, mask and parts are
+    read off it directly, degree -1 and the empty mask are settled before
+    any dispatch on degree, degree 0 is a component count, and
+    b_k = n_k - rank d_k - rank d_{k+1} takes each rank from `_rank`
+    without elimination where linear algebra fixes it.  Counts and edges
+    come from the bitmask over the ambient's index.
     """
     if k < -1:
         return 0
-    ambient, mask, parts = _indexed(cx)
-    if k == -1:
-        return 0 if mask else 1
+    if isinstance(cx, Subcomplex):
+        ambient, mask, parts = cx.parent, cx.mask, cx.parts
+    else:
+        ambient, mask, parts = _indexed(cx)
     if not mask:
+        return 1 if k == -1 else 0
+    if k == -1:
         return 0
     index = ambient._index
     if k == 0:
@@ -222,26 +226,43 @@ def _rank(ambient, mask, k: int, field: CoefficientField, parts) -> int:
     """Rank of the boundary map from the k-chains of a mask, over either field.
 
     rank d_1 = V - c over every field, c the component count: the number of
-    the mask's ``parts`` when they are known, else a union-find.
+    the mask's ``parts`` when they are known, else a union-find.  Counts
+    are popcounts of the mask against the index's dimension masks, read
+    directly rather than through ``index.count``.
     At the ambient's top dimension D, a subcomplex's D-cycles are D-cycles
     of the ambient, so when the ambient has none (`_top_boundary_injective`)
     rank d_D is the number of D-simplices.  Every other rank is eliminated;
     `reduced_betti` eliminates every rank and is the oracle for this path.
     """
     index = ambient._index
-    n_k = index.count(mask, k)
+    dim_masks = index.dim_masks
+    if k >= len(dim_masks):
+        return 0
+    n_k = (mask & dim_masks[k]).bit_count()
     if not n_k:
         return 0
     if k == 1:
-        return index.count(mask, 0) - _components(index, mask, parts)
+        return (mask & dim_masks[0]).bit_count() - _components(index, mask, parts)
     if k == ambient.dimension and _top_boundary_injective(ambient, field):
         return n_k
     return _boundary_rank(index, mask, k, field)
 
 
-@lru_cache(maxsize=8)
 def _top_boundary_injective(ambient, field: CoefficientField) -> bool:
-    """Whether the ambient's top boundary map has trivial kernel over field."""
-    top = ambient.dimension
-    _, mask, _ = _indexed(ambient)
-    return _boundary_rank(ambient._index, mask, top, field) == ambient._index.count(mask, top)
+    """Whether the ambient's top boundary map has trivial kernel over field.
+
+    The answer is memoised in the ambient's own ``_top_injective`` dict, so
+    each ambient object computes it once per field and the memo is freed
+    with it; two equal but distinct ambients each compute their own.  The
+    memo is keyed by ``field is GF2``: an Enum member's hash is a
+    Python-level call, and the field has only two values.
+    """
+    memo = ambient._top_injective
+    key = field is GF2
+    injective = memo.get(key)
+    if injective is None:
+        top = ambient.dimension
+        _, mask, _ = _indexed(ambient)
+        count = ambient._index.count(mask, top)
+        injective = memo[key] = _boundary_rank(ambient._index, mask, top, field) == count
+    return injective

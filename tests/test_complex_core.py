@@ -177,7 +177,8 @@ def test_complex_errors_name_the_culprit(simplices, text):
 
 
 def test_complex_from_a_plain_set_equals_the_frozen_one():
-    # `_top_boundary_injective`'s cache is keyed on the complex's hash
+    # a complex built from a plain set freezes it, and compares and hashes
+    # by its simplex set like one built from a frozenset
     cx = SimplicialComplex({(0,), (1,), (0, 1)}, 1)
     assert isinstance(cx.simplices, frozenset)
     assert cx == build_complex([[0, 1]])

@@ -439,6 +439,132 @@ def test_ledger_checks_each_call_and_builds_each_subfamily_once(
         assert ("union", tuple(range(m - 1))) in built  # no ledger block needs it
 
 
+def _reference_ledger(row, m, p, dim, betti) -> tuple:
+    """The ledger loop as it stood before its blocks were planned once per
+    (hypotheses, m, p, dim): every block's sizes, degrees and subfamilies
+    recomputed on each call."""
+    entries = []
+    for kind, sizes, degree_of in row.hypotheses:
+        for j in sizes(m, p):
+            degree = degree_of(m, j, p)
+            vacuous = degree < -1 or degree > dim
+            for combo in itertools.combinations(range(m), j):
+                if vacuous:
+                    entries.append(LedgerEntry(combo, kind, degree, None, "vacuous"))
+                else:
+                    observed = betti(kind, combo, degree)
+                    status = "pass" if observed == 0 else "fail"
+                    entries.append(LedgerEntry(combo, kind, degree, observed, status))
+    return tuple(entries)
+
+
+def _recorded_ledger(ledger, row, m, p, dim) -> tuple:
+    """A ledger's entries and the callback calls it made, in order, over a
+    made-up Betti source that passes some entries and fails others."""
+    calls = []
+
+    def betti(kind, indices, degree):
+        calls.append((kind, indices, degree))
+        return (sum(indices) + degree + len(kind)) % 3
+
+    return ledger(row, m, p, dim, betti), calls
+
+
+def test_ledger_plan_matches_the_reference_loop_on_every_row():
+    statuses = set()
+    for row in THEOREMS.values():
+        for m in range(1, 8):
+            for p in range(5):
+                for dim in range(1, 4):
+                    got = _recorded_ledger(_ledger, row, m, p, dim)
+                    assert got == _recorded_ledger(_reference_ledger, row, m, p, dim), \
+                        (row, m, p, dim)
+                    statuses.update(e.status for e in got[0])
+    assert statuses == {"pass", "fail", "vacuous"}
+
+
+def test_a_replaced_row_reads_its_own_ledger_plan():
+    helly = THEOREMS["helly"]
+    shifted = dataclasses.replace(
+        helly, hypotheses=(("union", helly.hypotheses[0][1], lambda m, j, p: p - j + 1),))
+    renamed = dataclasses.replace(helly, conclusion="nonempty")
+    for row in (helly, shifted, renamed, helly):
+        assert _recorded_ledger(_ledger, row, 5, 2, 2) == \
+            _recorded_ledger(_reference_ledger, row, 5, 2, 2)
+    assert _ledger(shifted, 5, 2, 2, lambda *a: 0) != _ledger(helly, 5, 2, 2, lambda *a: 0)
+
+
+# --- every subfamily is an instance ----------------------------------------
+
+
+def _subfamily_closure(theorem, fam, d, hypothesis_b0=True) -> tuple:
+    """(satisfied, violated) over the subfamilies S of fam with |S| at least
+    the row's minimum size, each taken as a theorem instance of its own:
+    its hypotheses are `_ledger` over S, reading each Betti number of F
+    through S's indices, and its conclusion is checked on the intersection
+    of S.  With ``hypothesis_b0`` False the hypotheses read every reduced
+    b_0 as 0, a planted bug the closure must catch."""
+    row = THEOREMS[theorem]
+    dim = fam.ambient.dimension
+    memo = {}
+
+    def betti(kind, indices, degree):
+        key = (kind, indices, degree)
+        if key not in memo:
+            combine = intersect_members if kind == "intersection" else union_members
+            memo[key] = betti_number(combine(fam, indices), degree, GF2)
+        return memo[key]
+
+    satisfied = violated = 0
+    for size in range(row.min_size(d), fam.size + 1):
+        for S in itertools.combinations(range(fam.size), size):
+            def betti_s(kind, indices, degree, S=S):
+                if degree == 0 and not hypothesis_b0:
+                    return 0
+                return betti(kind, tuple(S[i] for i in indices), degree)
+
+            entries = _ledger(row, size, d, dim, betti_s)
+            if any(e.status == "fail" for e in entries):
+                continue
+            satisfied += 1
+            inter = intersect_members(fam, S)
+            if row.conclusion == "acyclic":
+                vector = reduced_betti(inter, GF2)
+                holds = vector.nonempty and all(vector.betti_at(k) == 0 for k in range(dim + 1))
+            else:
+                holds = not inter.is_empty
+            violated += not holds
+    return satisfied, violated
+
+
+# (theorem, m, growth_steps, least satisfied instances over SUBFAMILY_TRIALS
+# draws): the helly-intersect draw at d 2, whose 5-member families never
+# satisfy the hypotheses whole, and breen at growth 40
+SUBFAMILY_ROWS = [("helly", 5, 12, 30), ("breen", 4, 40, 600)]
+SUBFAMILY_TRIALS = 200
+
+
+@pytest.mark.parametrize("theorem, m, growth, floor", SUBFAMILY_ROWS,
+                         ids=[row[0] for row in SUBFAMILY_ROWS])
+def test_every_subfamily_is_a_theorem_instance(theorem, m, growth, floor):
+    satisfied = violated = 0
+    for t in range(SUBFAMILY_TRIALS):
+        sat, bad = _subfamily_closure(theorem, random_family(12, m, growth, 1_000_000 + t), 2)
+        satisfied += sat
+        violated += bad
+    assert violated == 0
+    assert satisfied >= floor
+
+
+def test_subfamily_closure_kills_a_hypothesis_that_reads_b0_as_zero():
+    # the whole 5-member helly-intersect family almost never passes even
+    # the bugged hypotheses, so the kills come from its subfamilies
+    killed = [t for t in range(SUBFAMILY_TRIALS)
+              if _subfamily_closure("helly", random_family(12, 5, 12, 1_000_000 + t), 2,
+                                    hypothesis_b0=False)[1]]
+    assert killed
+
+
 # --- generator -------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import operator
@@ -6,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -404,6 +406,44 @@ def test_top_boundary_injective_over_the_rationals(name, injective):
 
 def test_top_boundary_injective_on_grid():
     assert _top_boundary_injective(grid_complex(6), GF2) is True
+
+
+def _counting_boundary_rank(monkeypatch) -> list:
+    """Patch `homology._boundary_rank` to record (id of index, k, field)."""
+    calls = []
+    boundary_rank = homology._boundary_rank
+
+    def counting(index, mask, k, field):
+        calls.append((id(index), k, field))
+        return boundary_rank(index, mask, k, field)
+
+    monkeypatch.setattr(homology, "_boundary_rank", counting)
+    return calls
+
+
+def test_top_boundary_injective_ranks_once_per_ambient_and_field(monkeypatch):
+    calls = _counting_boundary_rank(monkeypatch)
+    torus = build_complex(known_spaces()["torus_7"][0].simplices)
+    for _ in range(3):
+        assert [_top_boundary_injective(torus, f) for f in (GF2, RATIONALS)] == [False, False]
+    assert calls == [(id(torus._index), 2, GF2), (id(torus._index), 2, RATIONALS)]
+
+
+def test_equal_ambients_each_decide_their_own_top_boundary(monkeypatch):
+    calls = _counting_boundary_rank(monkeypatch)
+    first, second = build_complex([[0, 1, 2]]), build_complex([[0, 1, 2]])
+    assert first == second and first is not second
+    assert _top_boundary_injective(first, GF2) and _top_boundary_injective(second, GF2)
+    assert calls == [(id(first._index), 2, GF2), (id(second._index), 2, GF2)]
+
+
+def test_top_boundary_memo_does_not_keep_its_ambient_alive():
+    ambient = build_complex([[0, 1, 2], [1, 2, 3]])
+    assert _top_boundary_injective(ambient, GF2) and _top_boundary_injective(ambient, RATIONALS)
+    ref = weakref.ref(ambient)
+    del ambient
+    gc.collect()
+    assert ref() is None
 
 
 def test_mv_two_arcs_covering_circle():
