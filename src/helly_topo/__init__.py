@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .errors import (
     HellyTopoError,
     ContractViolation,
-    MalformedInput,
     ValidationError,
     GenerationFailure,
     InvariantViolation,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "HellyTopoError",
     "ContractViolation",
-    "MalformedInput",
     "ValidationError",
     "GenerationFailure",
     "InvariantViolation",

@@ -22,7 +22,6 @@ from .errors import (
     ContractViolation,
     GenerationFailure,
     HellyTopoError,
-    MalformedInput,
     ValidationError,
 )
 from .homology import CoefficientField, reduced_betti
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValidationError, MalformedInput, ContractViolation, OSError) as exc:
+    except (ValidationError, ContractViolation, OSError) as exc:
         _say(f"input error: {exc}")
         return EXIT_VALIDATION
     except GenerationFailure as exc:

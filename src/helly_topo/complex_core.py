@@ -18,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import ContractViolation, MalformedInput, ValidationError
+from .errors import ContractViolation, ValidationError
 from .sweeps import read_members, read_text
 
 
@@ -26,12 +26,12 @@ def as_simplex(vertices) -> tuple:
     """Normalize a vertex collection to a sorted tuple of distinct ids."""
     vs = tuple(vertices)
     if not vs:
-        raise MalformedInput("a simplex needs at least one vertex")
+        raise ValidationError("a simplex needs at least one vertex")
     for v in vs:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise MalformedInput(f"vertex ids must be non-negative integers, got {v!r}")
+            raise ValidationError(f"vertex ids must be non-negative integers, got {v!r}")
     if len(set(vs)) != len(vs):
-        raise MalformedInput(f"duplicate vertex inside simplex {list(vs)}")
+        raise ValidationError(f"duplicate vertex inside simplex {list(vs)}")
     return tuple(sorted(vs))
 
 
@@ -135,13 +135,13 @@ class SimplicialComplex:
             raise ContractViolation("declared_embedding_dim must be >= 1")
         for s in self.simplices:
             if not isinstance(s, tuple) or as_simplex(s) != s:
-                raise MalformedInput(
+                raise ValidationError(
                     f"simplex {s!r} must be a tuple of vertices in increasing order"
                 )
         try:
             index = _Index(self.simplices)
         except KeyError:
-            raise MalformedInput("complex is not closed under taking faces") from None
+            raise ValidationError("complex is not closed under taking faces") from None
         self.__dict__.update(_index=index, _top_injective={})
         if self.dimension > self.declared_embedding_dim:
             raise ContractViolation(
@@ -402,7 +402,7 @@ def parse_family(text: str) -> SubcomplexFamily:
         raise ValidationError("embedding_dim must be an integer")
     try:
         ambient = build_complex(data["ambient"], declared_embedding_dim=data["embedding_dim"])
-    except MalformedInput as exc:
+    except ValidationError as exc:
         raise ValidationError(f"bad ambient complex: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError("bad ambient complex: expected a list of vertex lists") from exc
@@ -410,7 +410,7 @@ def parse_family(text: str) -> SubcomplexFamily:
     for label, simplices in pairs:
         try:
             members.append(Subcomplex(ambient, face_closure(as_simplex(s) for s in simplices)))
-        except (MalformedInput, ValidationError) as exc:
+        except ValidationError as exc:
             raise ValidationError(f"member {label!r}: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"member {label!r}: expected a list of vertex lists") from exc

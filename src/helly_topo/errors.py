@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so raising the right class
+The CLI maps these onto process exit codes, `ValidationError` and
+`ContractViolation` to 3 and the others to 1, so raising the right class
 matters more than the message text.
 """
 
@@ -10,15 +11,14 @@ class HellyTopoError(Exception):
 
 
 class ContractViolation(HellyTopoError):
-    """An operation was invoked outside its stated preconditions."""
-
-
-class MalformedInput(HellyTopoError):
-    """Raw construction data is structurally invalid (e.g. duplicate vertex)."""
+    """A call outside its stated preconditions, such as an unknown theorem
+    tag, a member index out of range or a family too small for its theorem."""
 
 
 class ValidationError(HellyTopoError):
-    """An input file or assembled object failed semantic validation."""
+    """Input from outside the program is malformed: a family or polygon
+    file, a simplex's vertex list, a polygon's vertices, a command-line
+    option that does not apply."""
 
 
 class GenerationFailure(HellyTopoError):

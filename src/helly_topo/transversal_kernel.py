@@ -438,17 +438,10 @@ def _pair_masks(family: PolygonFamily) -> tuple:
     return full, pair_masks
 
 
-@functools.cache
-def _pairs_of(subset: tuple) -> tuple:
-    """A subfamily's index pairs, kept across calls: a sweep checks the
-    same subfamilies in every trial, 22 of them at m = 6 and 793 at m = 11."""
-    return tuple(itertools.combinations(subset, 2))
-
-
-def _subfamily_counts(kernel: tuple, subsets) -> list:
+def _subfamily_counts(kernel: tuple, pair_lists) -> list:
     """Exact quotient component counts of the transversal spaces of many
-    subfamilies of one family (each an index tuple), from the pair masks
-    ``kernel`` = `_pair_masks(family)`.
+    subfamilies of one family, each given by the list of its index pairs,
+    from the pair masks ``kernel`` = `_pair_masks(family)`.
 
     At a fixed direction the offsets that meet a member form an open
     interval, and open intervals on a line share a point iff every two of
@@ -460,9 +453,9 @@ def _subfamily_counts(kernel: tuple, subsets) -> list:
     full, pair_masks = kernel
     n = full.bit_length()
     counts = []
-    for subset in subsets:
+    for pairs in pair_lists:
         mask = full
-        for pair in _pairs_of(subset):
+        for pair in pairs:
             mask &= pair_masks[pair]
         if mask == full:
             counts.append(1)

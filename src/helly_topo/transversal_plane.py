@@ -74,10 +74,15 @@ _THM321_BLOCKS = (
 
 @functools.lru_cache(maxsize=16)
 def _thm321_checks(m: int) -> tuple:
-    """(check name, subset, test) of every subfamily of an m-member family
-    that `_THM321_BLOCKS` checks, each block in combinations order."""
-    return tuple((check, subset, holds) for check, size, holds in _THM321_BLOCKS
+    """The plan of an m-member thm-321 verify, (rows, pair lists): the
+    (check name, subset, test) of every subfamily that `_THM321_BLOCKS`
+    checks, each block in combinations order, and the index pairs of each
+    such subfamily and then of the whole family, the lists whose pair masks
+    `_subfamily_counts` ANDs."""
+    rows = tuple((check, subset, holds) for check, size, holds in _THM321_BLOCKS
                  for subset in itertools.combinations(range(m), size))
+    subsets = [subset for _, subset, _ in rows] + [range(m)]
+    return rows, tuple(tuple(itertools.combinations(subset, 2)) for subset in subsets)
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ class TransversalVerdict:
 
     @functools.cached_property
     def checks(self) -> tuple:
-        rows = zip(_thm321_checks(self.family.size), self.counts)
+        rows = zip(_thm321_checks(self.family.size)[0], self.counts)
         return (
             (("check", "semipairwise_disjoint"), ("observed", self.disjointness),
              ("pass", self.disjointness != "neither")),
@@ -142,10 +147,10 @@ def verify_theorem_321(family: PolygonFamily) -> TransversalVerdict:
         raise ContractViolation("the theorem needs a family of at least 6 members")
     kernel = family._kernel  # built before the classification reads it
     cls = disjointness_class(family)
-    rows = _thm321_checks(m)
+    rows, pair_lists = _thm321_checks(m)
     # the whole family last: Helly's theorem on the line makes its feasible
     # set the AND of all pair masks
-    counts = _subfamily_counts(kernel, [subset for _, subset, _ in rows] + [tuple(range(m))])
+    counts = _subfamily_counts(kernel, pair_lists)
     hypotheses_hold = cls != "neither" and all(
         holds(count) for (_, _, holds), count in zip(rows, counts))
     return TransversalVerdict("thm-321", cls, tuple(counts), hypotheses_hold, family)

@@ -20,7 +20,7 @@ from helly_topo.complex_core import (
     parse_family,
     union_members,
 )
-from helly_topo.errors import ContractViolation, MalformedInput, ValidationError
+from helly_topo.errors import ContractViolation, ValidationError
 from helly_topo.helly_engine import random_family
 from helly_topo.homology import GF2, BettiVector
 from helly_topo.polygon_draws import random_stabbed_family
@@ -43,16 +43,6 @@ def test_build_single_vertex():
 def test_build_solid_triangle_face_count():
     cx = build_complex([[0, 1, 2]])
     assert len(cx.simplices) == 7  # 2^3 - 1
-
-
-def test_build_rejects_duplicate_vertex():
-    with pytest.raises(MalformedInput):
-        build_complex([[0, 0]])
-
-
-def test_build_rejects_negative_vertex():
-    with pytest.raises(MalformedInput):
-        build_complex([[0, -1]])
 
 
 def test_input_order_is_canonicalized():
@@ -171,7 +161,7 @@ def test_subcomplex_errors_name_the_culprit():
 def test_complex_errors_name_the_culprit(simplices, text):
     # only face-closed sets of simplices in as_simplex normal form get in,
     # so nothing malformed reaches the index or the homology code
-    with pytest.raises(MalformedInput) as err:
+    with pytest.raises(ValidationError) as err:
         SimplicialComplex(frozenset(simplices), 1)
     assert str(err.value) == text
 
@@ -201,6 +191,9 @@ def _point(v):
      "declared_embedding_dim must be >= 1"),
     (lambda: build_complex([[0, 1, 2]], 1), ContractViolation,
      "complex dimension 2 exceeds declared embedding dimension 1"),
+    (lambda: build_complex([[0, 0]]), ValidationError, "duplicate vertex inside simplex [0, 0]"),
+    (lambda: build_complex([[0, -1]]), ValidationError,
+     "vertex ids must be non-negative integers, got -1"),
     (lambda: SubcomplexFamily(build_complex([[0]]), (_point(0),), ("A1", "A2")),
      ValidationError, "labels and members must have the same length"),
     (lambda: SubcomplexFamily(build_complex([[0]]), (_point(1),), ("A1",)),
@@ -209,7 +202,8 @@ def _point(v):
      "an empty complex has all Betti numbers zero"),
     (lambda: PolygonFamily(()), ContractViolation, "a polygon family needs at least one member"),
     (lambda: random_stabbed_family(0, 0, 0.1), ContractViolation, "m must be >= 1"),
-], ids=["declared-zero", "dimension-over-declared", "label-count", "foreign-ambient",
+], ids=["declared-zero", "dimension-over-declared", "duplicate-vertex", "negative-vertex",
+        "label-count", "foreign-ambient",
         "empty-with-betti", "empty-polygon-family", "empty-stabbed-family"])
 def test_constructors_reject_bad_input(call, error, message):
     with pytest.raises(error) as err:

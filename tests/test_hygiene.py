@@ -3,8 +3,9 @@ only: every imported name is used, the package imports nothing outside the
 standard library (its ``dependencies`` list is empty), every name the
 package exports has a reader inside the package, the package holds no
 ``assert`` statement (``python -O`` strips them, so an invariant check
-must raise a real error), and its modules import each other in layers.
-The last test runs the README's library example."""
+must raise a real error), every error class is raised, and its modules
+import each other in layers.  The last test runs the README's library
+example."""
 
 import ast
 import sys
@@ -141,6 +142,45 @@ def test_assert_check_finds_assert_statements():
 def test_package_has_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _assert_statements(tree) == []
+
+
+def _unraised_errors(errors_tree, trees) -> list:
+    """The classes of ``errors_tree`` that no tree raises as ``raise
+    Name(...)`` and that are no base, direct or further up, of a class
+    that one raises: an error class that no code path reaches."""
+    bases = {node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+             for node in errors_tree.body if isinstance(node, ast.ClassDef)}
+    raised = {node.exc.func.id for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    reached, todo = set(), [name for name in raised if name in bases]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [base for base in bases[name] if base in bases]
+    return sorted(name for name in bases if name not in reached)
+
+
+def test_unraised_error_check_finds_classes_no_code_raises():
+    errors = ast.parse(
+        "class Base(Exception):\n    pass\nclass Mid(Base):\n    pass\n"
+        "class Leaf(Mid):\n    pass\nclass Built(Base):\n    pass\n"
+        "class Bare(Base):\n    pass\n"
+    )
+    module = ast.parse(
+        "def f(x):\n    if x:\n        raise Leaf(f'bad {x}')\n    err = Built('kept')\n"
+        "    raise Bare\ndef g():\n    raise ValueError('other')\n"
+    )
+    # Base and Mid are reached through Leaf; Built is made but never raised,
+    # and Bare is raised only as a bare name
+    assert _unraised_errors(errors, [module]) == ["Bare", "Built"]
+
+
+def test_every_error_class_is_raised_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in PACKAGE]
+    errors = ROOT / "src" / "helly_topo" / "errors.py"
+    assert _unraised_errors(ast.parse(errors.read_text(encoding="utf-8")), trees) == []
 
 
 def _package_imports(tree) -> set:

@@ -948,6 +948,12 @@ def _all_subsets(m):
     return [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
 
 
+def _counts(kernel, subsets) -> list:
+    """`_subfamily_counts` of subfamilies given as index tuples, each as
+    the list of its index pairs, as `verify_theorem_321`'s plan holds it."""
+    return _subfamily_counts(kernel, [tuple(itertools.combinations(s, 2)) for s in subsets])
+
+
 def _feasibility_sign_at(scaled_polys, d) -> int:
     """Sign of min_i max_v v.d - max_i min_v v.d at an exact direction."""
     upper = min(max(v[0] * d[0] + v[1] * d[1] for v in verts) for verts in scaled_polys)
@@ -1060,7 +1066,7 @@ def _assert_kernel_matches_oracle(fam):
     subsets = _all_subsets(fam.size)
     kernel = _pair_masks(fam)
     assert kernel == _reference_pair_masks(fam)
-    counts = _subfamily_counts(kernel, subsets)
+    counts = _counts(kernel, subsets)
     for subset, count in zip(subsets, counts):
         sub = subfamily(fam, subset)
         prof = transversal_profile(sub)
@@ -1301,7 +1307,7 @@ def _eager_checks(fam) -> tuple:
     cls = disjointness_class(fam)
     combos5 = list(itertools.combinations(range(m), 5))
     combos4 = list(itertools.combinations(range(m), 4))
-    counts = _subfamily_counts(_pair_masks(fam), combos5 + combos4)
+    counts = _counts(_pair_masks(fam), combos5 + combos4)
     checks = [(("check", "semipairwise_disjoint"), ("observed", cls),
                ("pass", cls in ("pairwise_disjoint", "semipairwise_disjoint")))]
     for combo, count in zip(combos5, counts):
@@ -1530,8 +1536,8 @@ def test_witness_disagreeing_with_the_kernel_raises(monkeypatch, capsys):
     assert verify_theorem_321(fam).to_dict()["witness"]["component_count"] == 1
     counts = transversal_plane._subfamily_counts
 
-    def mutant(kernel, subsets):
-        out = counts(kernel, subsets)
+    def mutant(kernel, pair_lists):
+        out = counts(kernel, pair_lists)
         return out[:-1] + [out[-1] + 1]
 
     monkeypatch.setattr(transversal_plane, "_subfamily_counts", mutant)
@@ -1545,7 +1551,7 @@ def test_subfamily_counts_raise_on_an_odd_number_of_run_starts():
     # one feasible run with no antipodal partner on an 8-element circle
     kernel = (0xFF, {(0, 1): 0b11})
     with pytest.raises(InvariantViolation, match="antipodal pairs"):
-        _subfamily_counts(kernel, [(0, 1)])
+        _counts(kernel, [(0, 1)])
 
 
 def test_thm321_sweep_builds_no_profile(monkeypatch):
@@ -1571,8 +1577,8 @@ def test_member_permutations_preserve_counts(seed, jitter, perm):
     fam = random_stabbed_family(6, seed, jitter=jitter)
     image = PolygonFamily(tuple(fam.members[k] for k in perm))
     subsets = _all_subsets(fam.size)
-    counts = dict(zip(subsets, _subfamily_counts(_pair_masks(fam), subsets)))
-    for subset, count in zip(subsets, _subfamily_counts(_pair_masks(image), subsets)):
+    counts = dict(zip(subsets, _counts(_pair_masks(fam), subsets)))
+    for subset, count in zip(subsets, _counts(_pair_masks(image), subsets)):
         assert count == counts[tuple(sorted(perm[k] for k in subset))], subset
     before, after = verify_theorem_321(fam), verify_theorem_321(image)
     assert after.hypotheses_hold == before.hypotheses_hold
@@ -1609,8 +1615,7 @@ def test_affine_maps_preserve_counts(seed, jitter, shear, turns, shift):
     fam = random_stabbed_family(6, seed, jitter=jitter)
     image = _affine_image(fam, shear, turns, shift)
     subsets = _all_subsets(fam.size)
-    assert _subfamily_counts(_pair_masks(image), subsets) == \
-        _subfamily_counts(_pair_masks(fam), subsets)
+    assert _counts(_pair_masks(image), subsets) == _counts(_pair_masks(fam), subsets)
     before, after = verify_theorem_321(fam), verify_theorem_321(image)
     assert after.checks == before.checks
     assert after.conclusion_holds == before.conclusion_holds
@@ -1673,14 +1678,18 @@ def test_theorem_321_requires_six_members():
         verify_theorem_321(fam)
 
 
-def test_pairs_of_keeps_every_subset_of_an_m11_verify():
-    # an m = 11 verify asks for 793 subsets' pairs; a cache bounded below
-    # that evicts them all before the next verify asks again
+def test_thm321_plan_holds_every_pair_list_of_an_m11_verify():
+    # a second verify of the same size builds no new plan, and the plan
+    # holds each checked subfamily's pairs, then the whole family's
     fam = random_stabbed_family(11, 0, jitter=0.3)
     verify_theorem_321(fam)
-    misses = transversal_kernel._pairs_of.cache_info().misses
+    misses = transversal_plane._thm321_checks.cache_info().misses
     verify_theorem_321(fam)
-    assert transversal_kernel._pairs_of.cache_info().misses == misses
+    assert transversal_plane._thm321_checks.cache_info().misses == misses
+    rows, pair_lists = transversal_plane._thm321_checks(11)
+    subsets = [subset for _, subset, _ in rows] + [tuple(range(11))]
+    assert len(pair_lists) == len(subsets) == 793
+    assert pair_lists == tuple(tuple(itertools.combinations(s, 2)) for s in subsets)
 
 
 # --- generators ------------------------------------------------------------
